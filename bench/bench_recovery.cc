@@ -1,5 +1,5 @@
-// Recovery cost: checkpointed snapshot load vs full statement-log replay
-// (ISSUE 9 tentpole). The workload is a BSBM repository with a multi-round
+// Recovery cost: checkpointed snapshot load vs full statement-log replay.
+// The workload is a BSBM repository with a multi-round
 // update history — under the default batch semantics every update round
 // re-materialises and re-journals the whole closure, so after R rounds the
 // statement log holds ~(R+1)x the closure. Recover from the raw log is
@@ -8,8 +8,9 @@
 //
 // Two directories receive the *identical* update sequence:
 //   full-replay  — checkpoints never truncate, and the snapshot pair is
-//                  deleted afterwards, so Recover replays the entire log
-//                  through the text-dump dictionary path;
+//                  deleted afterwards, so Recover rebuilds dictionary and
+//                  store from statements.log alone (its term records and
+//                  its whole statement history);
 //   checkpointed — a truncating Checkpoint closes the history, so Recover
 //                  loads the snapshot pair and replays an empty tail (the
 //                  tail-replay path itself is exercised by the per-mode
@@ -93,9 +94,9 @@ struct History {
 
 // Loads the corpus and applies `rounds` remove/re-add update rounds, then
 // checkpoints. When `checkpointed`, the Checkpoint truncates the log so
-// Recover takes the snapshot path; otherwise it keeps the full log (the
-// dictionary dump it writes is what the full-replay path reads) and the
-// snapshot pair is deleted, forcing Recover to replay the whole history.
+// Recover takes the snapshot path; otherwise it keeps the full log and the
+// snapshot pair is deleted, leaving statements.log as the only file: the
+// log alone must rebuild the repository.
 History BuildHistory(const std::string& dir, const OntologySpec& spec,
                      int rounds, bool checkpointed) {
   Repository::Options options;
@@ -123,6 +124,13 @@ History BuildHistory(const std::string& dir, const OntologySpec& spec,
   if (!checkpointed) {
     std::filesystem::remove(dir + "/snapshot.dict");
     std::filesystem::remove(dir + "/snapshot.triples");
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().filename() != "statements.log") {
+        std::fprintf(stderr, "unexpected file in the full-replay directory: %s\n",
+                     entry.path().c_str());
+        std::exit(1);
+      }
+    }
   }
   h.log_bytes = FileBytes(dir + "/statements.log");
   h.snapshot_bytes =

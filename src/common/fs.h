@@ -10,7 +10,7 @@
 namespace slider {
 
 /// \brief Crash-safe file helpers shared by the persistence layer (statement
-/// log rewrite, snapshot images, dictionary dumps).
+/// log rewrite, snapshot images).
 
 /// Writes `contents` to `path` atomically: the bytes go to `path.tmp`,
 /// are fsync'd, and the temp file is renamed over `path` (rename within a

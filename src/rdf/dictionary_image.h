@@ -8,18 +8,16 @@
 
 namespace slider {
 
-/// \brief Compact binary dictionary image: the checkpoint counterpart of
-/// the line-oriented text dump.
+/// \brief Compact binary dictionary image: the dictionary half of a
+/// checkpoint's snapshot pair.
 ///
 /// Format "SLDICT01": an 8-byte magic, a little-endian uint64 entry count,
 /// then one entry per bound id in ascending id order — varint id delta
 /// from the previous entry, varint term length, raw term bytes — and a
 /// trailing CRC32 of everything before it. Ids are carried explicitly (as
 /// deltas), so the image is independent of the dictionary's shard topology
-/// and id-assignment order, exactly like the v2 text dump; the delta +
-/// varint coding makes it a fraction of the text dump's size, and loading
-/// it calls Dictionary::Restore per entry — no hashing through the text
-/// parser's Encode path.
+/// and id-assignment order; loading it calls Dictionary::Restore per
+/// entry — no hashing through the parser's Encode path.
 ///
 /// Writes are atomic (temp file + rename, see AtomicWriteFile): a crash
 /// mid-checkpoint leaves the previous image intact.
@@ -32,8 +30,8 @@ Status WriteDictionaryImage(const Dictionary& dict, const std::string& path);
 /// constructed; Restore tolerates re-binding identical pairs). Fails with
 /// IOError on a missing/unreadable file and InvalidArgument on a
 /// corrupt one (bad magic, checksum mismatch, truncated entries) — the
-/// recovery path treats both as "snapshot unusable" and falls back to the
-/// text dump + full log replay when it can.
+/// recovery path treats both as "snapshot unusable" and falls back to a
+/// full log replay when it can.
 Status LoadDictionaryImage(const std::string& path, Dictionary* dict);
 
 }  // namespace slider

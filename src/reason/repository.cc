@@ -1,11 +1,7 @@
 #include "reason/repository.h"
 
-#include <algorithm>
-#include <limits>
-#include <unordered_map>
 #include <utility>
 
-#include "common/codec.h"
 #include "common/fs.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -17,15 +13,6 @@
 #include "store/snapshot.h"
 
 namespace slider {
-
-namespace {
-
-/// First line of a v2 dictionary dump. Dumps without it are read as the
-/// legacy format (one term per line, ids implied by line order), so
-/// repositories persisted before the dictionary was sharded still recover.
-constexpr const char kDictDumpHeader[] = "# slider-dict v2";
-
-}  // namespace
 
 Result<std::unique_ptr<Repository>> Repository::Open(
     const FragmentFactory& factory, Options options) {
@@ -45,6 +32,14 @@ Result<std::unique_ptr<Repository>> Repository::Open(
                                        repo->options_.log_flush_interval));
   }
   repo->ResetEngine();
+  // The vocabulary and the fragment's own terms (rule constants) are bound
+  // before any statement: journal them up front, since inferred
+  // statements use them without AddTriples ever seeing them.
+  Status journaled = Status::OK();
+  repo->dict_.ForEach([&](TermId id, std::string_view) {
+    if (journaled.ok()) journaled = repo->JournalTerm(id);
+  });
+  SLIDER_RETURN_NOT_OK(journaled);
   if (repo->OnDemandMode() && !BackwardCoverable(*repo->fragment_)) {
     // The chainer resolves goals through the rules' declared Horn clauses;
     // a rule without clauses would make on-demand answers diverge from the
@@ -263,10 +258,6 @@ std::string Repository::LogPath() const {
   return options_.storage_dir + "/statements.log";
 }
 
-std::string Repository::DictPath() const {
-  return options_.storage_dir + "/dictionary.dump";
-}
-
 std::string Repository::SnapshotDictPath() const {
   return options_.storage_dir + "/snapshot.dict";
 }
@@ -288,8 +279,39 @@ Result<Repository::LoadStats> Repository::Load(std::string_view ntriples_documen
   return stats;
 }
 
+Status Repository::JournalTerms(const TripleVec& triples) {
+  if (log_ == nullptr) return Status::OK();
+  for (const Triple& t : triples) {
+    for (const TermId id : {t.s, t.p, t.o}) {
+      SLIDER_RETURN_NOT_OK(JournalTerm(id));
+    }
+  }
+  return Status::OK();
+}
+
+Status Repository::JournalTerm(TermId id) {
+  // kAnyTerm binds nothing: the store drops statements that use it.
+  if (log_ == nullptr || id == kAnyTerm ||
+      (id < durable_terms_.size() && durable_terms_[id])) {
+    return Status::OK();
+  }
+  SLIDER_ASSIGN_OR_RETURN(const std::string term, dict_.Decode(id));
+  SLIDER_RETURN_NOT_OK(log_->AppendTerm(id, term));
+  MarkDurable(id);
+  return Status::OK();
+}
+
+void Repository::MarkDurable(TermId id) {
+  if (id >= durable_terms_.size()) durable_terms_.resize(id + 1);
+  durable_terms_[id] = true;
+}
+
 Result<Repository::LoadStats> Repository::AddTriples(const TripleVec& triples) {
   Stopwatch watch;
+  // Journal the input's new terms ahead of every statement record that can
+  // use them: rules never mint terms, and Open journaled the vocabulary
+  // and rule constants.
+  SLIDER_RETURN_NOT_OK(JournalTerms(triples));
   TripleVec fresh;
   fresh.reserve(triples.size());
   for (const Triple& t : triples) {
@@ -536,17 +558,26 @@ Status Repository::Checkpoint() {
   // appended so far, so the tail a later Recover must replay is exactly
   // what arrives after this point.
   const uint64_t lsn = log_ != nullptr ? log_->next_lsn() : 0;
+  // Collected before the image is written, so every id here is in it
+  // (bound ids never unbind; a parser may bind more in between).
+  std::vector<bool> imaged;
+  dict_.ForEach([&](TermId id, std::string_view) {
+    if (id >= imaged.size()) imaged.resize(id + 1);
+    imaged[id] = true;
+  });
   SLIDER_RETURN_NOT_OK(WriteDictionaryImage(dict_, SnapshotDictPath()));
   SLIDER_RETURN_NOT_OK(
       WriteTripleSnapshot(*store_, lsn, SnapshotTriplesPath()));
-  SLIDER_RETURN_NOT_OK(PersistDictionary());
-  SLIDER_RETURN_NOT_OK(PersistIndexes());
   snapshot_lsn_ = lsn;
   // Truncation strictly after the snapshot renames in: a crash between the
   // two leaves a log whose prefix the snapshot already covers (replay skips
   // records below the LSN); the reverse order would lose the prefix.
   if (log_ != nullptr && options_.truncate_log_on_checkpoint) {
     SLIDER_RETURN_NOT_OK(log_->TruncateTo(lsn));
+    // The truncated log now needs the image anyway, so its terms count as
+    // durable. An untruncated log keeps journaling on its own, so it can
+    // still rebuild everything if the snapshot is lost.
+    if (log_->base_lsn() > 0) durable_terms_ = std::move(imaged);
   }
   return Status::OK();
 }
@@ -566,52 +597,6 @@ Status Repository::CompactLog() {
   SLIDER_RETURN_NOT_OK(log_->Flush());
   SLIDER_RETURN_NOT_OK(log_->Compact());
   tombstones_at_last_compact_ = log_->tombstones_written();
-  return Status::OK();
-}
-
-Status Repository::PersistDictionary() const {
-  // v2 dump: explicit (id, term) pairs, one per line, tab-separated. The
-  // format carries the ids instead of relying on re-encode order, so it is
-  // independent of the dictionary's shard topology and of the
-  // (concurrency-dependent) order ids were assigned in. Terms never contain
-  // '\n' (the parser is line-oriented), and only the first '\t' separates.
-  std::string dump(kDictDumpHeader);
-  dump.push_back('\n');
-  dict_.ForEach([&](TermId id, std::string_view term) {
-    dump += std::to_string(id);
-    dump.push_back('\t');
-    dump.append(term.data(), term.size());
-    dump.push_back('\n');
-  });
-  return AtomicWriteFile(DictPath(), dump);
-}
-
-Status Repository::PersistIndexes() const {
-  // OWLIM's TRREE storage keeps the statements in (at least) PSO and POS
-  // sort order; a commit must write both. 24-byte records as in the log.
-  TripleVec statements = store_->Snapshot();
-  for (const char* name : {"index_pso.bin", "index_pos.bin"}) {
-    const bool pso = std::string_view(name) == "index_pso.bin";
-    std::sort(statements.begin(), statements.end(),
-              [pso](const Triple& a, const Triple& b) {
-                if (a.p != b.p) return a.p < b.p;
-                if (pso) {
-                  if (a.s != b.s) return a.s < b.s;
-                  return a.o < b.o;
-                }
-                if (a.o != b.o) return a.o < b.o;
-                return a.s < b.s;
-              });
-    std::string blob;
-    blob.reserve(statements.size() * 3 * sizeof(uint64_t));
-    for (const Triple& t : statements) {
-      PutFixed64(&blob, t.s);
-      PutFixed64(&blob, t.p);
-      PutFixed64(&blob, t.o);
-    }
-    SLIDER_RETURN_NOT_OK(
-        AtomicWriteFile(options_.storage_dir + "/" + name, blob));
-  }
   return Status::OK();
 }
 
@@ -636,7 +621,7 @@ Result<std::unique_ptr<Repository>> Repository::Recover(
   if (FileExists(options.storage_dir + "/snapshot.dict") &&
       FileExists(options.storage_dir + "/snapshot.triples")) {
     Result<std::unique_ptr<Repository>> snapshot =
-        RecoverFromSnapshot(factory, options, log);
+        Replay(factory, options, log, /*from_snapshot=*/true);
     if (snapshot.ok()) return snapshot;
     if (log.base_lsn != 0) {
       // The log was truncated against the (now unusable) snapshot: the
@@ -660,138 +645,65 @@ Result<std::unique_ptr<Repository>> Repository::Recover(
                "the truncated prefix",
                static_cast<unsigned long long>(log.base_lsn)));
   }
-  return RecoverFromFullReplay(factory, options, log);
+  return Replay(factory, options, log, /*from_snapshot=*/false);
 }
 
-Result<std::unique_ptr<Repository>> Repository::RecoverFromSnapshot(
+Result<std::unique_ptr<Repository>> Repository::Replay(
     const FragmentFactory& factory, const Options& options,
-    const StatementLog::Contents& log) {
+    const StatementLog::Contents& log, bool from_snapshot) {
   auto repo = std::unique_ptr<Repository>(new Repository());
   repo->options_ = options;
   repo->factory_ = factory;
-  // The dictionary image restores (id, term) bindings directly — no
-  // re-hashing through the text Encode path.
-  SLIDER_RETURN_NOT_OK(
-      LoadDictionaryImage(repo->SnapshotDictPath(), &repo->dict_));
-  repo->vocab_ = Vocabulary::Register(&repo->dict_);
   repo->store_ = std::make_unique<TripleStore>();
-  SLIDER_ASSIGN_OR_RETURN(
-      const uint64_t snapshot_lsn,
-      LoadTripleSnapshot(repo->SnapshotTriplesPath(), repo->store_.get()));
-  if (log.base_lsn > snapshot_lsn) {
-    return Status::IOError(
-        Format("statement log starts at LSN %llu but the snapshot only "
-               "covers records below %llu; the gap is unrecoverable",
-               static_cast<unsigned long long>(log.base_lsn),
-               static_cast<unsigned long long>(snapshot_lsn)));
+  if (from_snapshot) {
+    // The images restore (id, term) bindings and the store directly: no
+    // re-hashing through the Encode path, exact-capacity LfRow versions,
+    // no dedup probes, no reasoner.
+    SLIDER_RETURN_NOT_OK(
+        LoadDictionaryImage(repo->SnapshotDictPath(), &repo->dict_));
+    SLIDER_ASSIGN_OR_RETURN(
+        repo->snapshot_lsn_,
+        LoadTripleSnapshot(repo->SnapshotTriplesPath(), repo->store_.get()));
+    if (log.base_lsn > repo->snapshot_lsn_) {
+      return Status::IOError(
+          Format("statement log starts at LSN %llu but the snapshot only "
+                 "covers records below %llu; the gap is unrecoverable",
+                 static_cast<unsigned long long>(log.base_lsn),
+                 static_cast<unsigned long long>(repo->snapshot_lsn_)));
+    }
+    if (log.base_lsn > 0) {
+      // The log was truncated against an image: only the image still
+      // binds the truncated prefix's terms.
+      repo->dict_.ForEach(
+          [&](TermId id, std::string_view) { repo->MarkDurable(id); });
+    }
   }
-  // Tail replay: only the records the snapshot does not cover, in order.
-  // Tombstones erase, additions (re-)add with their journaled support —
-  // an explicit re-add of a surviving inferred statement promotes it,
-  // mirroring the live store's duplicate-offer semantics.
+  // Term records before the vocabulary, so recovered ids stay aligned with
+  // the statement records; re-binding a term the image holds is a no-op.
+  for (const StatementLog::Record& r : log.records) {
+    if (!r.is_term()) continue;
+    SLIDER_RETURN_NOT_OK(repo->dict_.Restore(r.term_id, r.term));
+    repo->MarkDurable(r.term_id);
+  }
+  repo->vocab_ = Vocabulary::Register(&repo->dict_);
+  // Ordered replay of the statements the snapshot (if any) does not cover,
+  // explicit and inferred alike — no inference re-runs. Tombstones erase,
+  // additions (re-)add with their journaled support: an explicit re-add of
+  // a surviving inferred statement promotes it, mirroring the live store's
+  // duplicate-offer semantics.
   for (size_t i = 0; i < log.records.size(); ++i) {
-    if (log.base_lsn + i < snapshot_lsn) continue;
     const StatementLog::Record& r = log.records[i];
+    if (log.base_lsn + i < repo->snapshot_lsn_ || r.is_term()) continue;
     if (r.tombstone) {
       repo->store_->Erase(r.triple);
     } else {
       repo->store_->Add(r.triple, /*is_explicit=*/!r.inferred);
     }
   }
-  repo->snapshot_lsn_ = snapshot_lsn;
-  return FinishRecovery(std::move(repo));
-}
-
-Result<std::unique_ptr<Repository>> Repository::RecoverFromFullReplay(
-    const FragmentFactory& factory, const Options& options,
-    const StatementLog::Contents& log) {
-  auto repo = std::unique_ptr<Repository>(new Repository());
-  repo->options_ = options;
-  repo->factory_ = factory;
-
-  // Rebuild the dictionary first so recovered ids stay aligned with the
-  // replayed statement records.
-  SLIDER_ASSIGN_OR_RETURN(const std::string dump,
-                          ReadFileToString(repo->DictPath()));
-  const std::string dict_path = repo->DictPath();
-
-  std::string_view rest = dump;
-  bool v2 = false;
-  size_t line_no = 0;
-  while (!rest.empty()) {
-    size_t eol = rest.find('\n');
-    if (eol == std::string_view::npos) eol = rest.size();
-    const std::string_view line = rest.substr(0, eol);
-    rest = eol < rest.size() ? rest.substr(eol + 1) : std::string_view();
-    ++line_no;
-    if (line_no == 1 && line == kDictDumpHeader) {
-      v2 = true;
-      continue;
-    }
-    if (line.empty()) continue;
-    if (!v2) {
-      // Legacy dump: one term per line, id implied by line order. The
-      // sharded dictionary's global counter reproduces sequential ids
-      // exactly for a single-threaded re-encode.
-      repo->dict_.Encode(line);
-      continue;
-    }
-    const size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) {
-      return Status::InvalidArgument(
-          Format("'%s' line %zu: missing id/term separator",
-                 dict_path.c_str(), line_no));
-    }
-    TermId id = kAnyTerm;
-    for (const char digit : line.substr(0, tab)) {
-      if (digit < '0' || digit > '9' ||
-          id > (std::numeric_limits<TermId>::max() -
-                static_cast<TermId>(digit - '0')) /
-                   10) {
-        return Status::InvalidArgument(Format(
-            "'%s' line %zu: malformed term id", dict_path.c_str(), line_no));
-      }
-      id = id * 10 + static_cast<TermId>(digit - '0');
-    }
-    SLIDER_RETURN_NOT_OK(repo->dict_.Restore(id, line.substr(tab + 1)));
-  }
-
-  repo->vocab_ = Vocabulary::Register(&repo->dict_);
-  repo->store_ = std::make_unique<TripleStore>();
-  // The log contains explicit and inferred statements alike; replaying it
-  // in order — tombstones removing, later re-adds restoring — reconstructs
-  // the surviving closure without re-running inference. v2 records carry
-  // their support flag; an explicit add anywhere promotes, mirroring the
-  // store's duplicate-offer semantics. Legacy logs have no tombstone or
-  // inferred records and replay exactly as before (everything explicit).
-  std::unordered_map<Triple, bool, TripleHash> present;  // value: explicit
-  for (const StatementLog::Record& r : log.records) {
-    if (r.tombstone) {
-      present.erase(r.triple);
-    } else {
-      const auto [it, inserted] = present.emplace(r.triple, !r.inferred);
-      if (!inserted && !r.inferred) it->second = true;
-    }
-  }
-  TripleVec explicit_statements;
-  TripleVec inferred_statements;
-  for (const auto& [t, is_explicit] : present) {
-    (is_explicit ? explicit_statements : inferred_statements).push_back(t);
-  }
-  repo->store_->AddAll(explicit_statements, nullptr, /*is_explicit=*/true);
-  repo->store_->AddAll(inferred_statements, nullptr, /*is_explicit=*/false);
-  return FinishRecovery(std::move(repo));
-}
-
-Result<std::unique_ptr<Repository>> Repository::FinishRecovery(
-    std::unique_ptr<Repository> repo) {
-  // Explicit bookkeeping from the store's support flags. Batch-mode and
-  // legacy logs mark every statement explicit, so this reproduces the old
-  // conservative "the recovered closure is explicit" bookkeeping for them,
-  // while flag-carrying histories (kIncremental, the on-demand modes) get
-  // their real explicit set back.
-  repo->explicit_.clear();
-  repo->explicit_set_.clear();
+  // Explicit bookkeeping from the store's support flags. The batch modes
+  // log every statement explicit, so for them the recovered closure is
+  // conservatively explicit, while flag-carrying histories (kIncremental,
+  // the on-demand modes) get their real explicit set back.
   repo->store_->ExportForSnapshot(
       [&](TermId p, const std::vector<TripleStore::SnapshotRow>& rows) {
         for (const TripleStore::SnapshotRow& row : rows) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "query/hybrid.h"
@@ -27,10 +28,11 @@ namespace slider {
 ///  - load-time full materialisation over the same rulesets as Slider,
 ///    with TRREE's statement-at-a-time scheme by default (TrreeReasoner;
 ///    a set-at-a-time semi-naive mode is selectable for ablations);
-///  - durability: every explicit and inferred statement is written through
-///    an append-only statement log; Checkpoint persists a snapshot image
-///    pair so the repository can be reopened from disk (Recover) in time
-///    proportional to the *state*, not the *history*;
+///  - durability: every explicit and inferred statement, and every term
+///    they use, is written through an append-only statement log, which
+///    alone rebuilds the repository; Checkpoint persists a snapshot image
+///    pair so it can be reopened from disk (Recover) in time proportional
+///    to the *state*, not the *history*;
 ///  - batch update semantics: by default, adding statements to a loaded
 ///    repository recomputes the closure from scratch over all explicit
 ///    statements — the "batch processing [systems] ... initiate the
@@ -39,11 +41,14 @@ namespace slider {
 ///
 /// ## Checkpoint lifecycle and on-disk layout
 ///
-/// A repository directory holds, after at least one Checkpoint:
+/// A repository directory holds, after at least one Checkpoint, exactly:
 ///
-///   statements.log    v2 statement log ("SLDRLOG2" header carrying a base
-///                     LSN; 28-byte records = 24-byte payload + CRC32, with
-///                     tombstone/inferred flag bits on the subject word)
+///   statements.log    the v2 statement log ("SLDRLOG2" header carrying a
+///                     base LSN; 28-byte statement records with
+///                     tombstone/inferred flag bits on the subject word,
+///                     and term records binding each dictionary id before
+///                     its first use; per-record CRC32) — the source of
+///                     truth
 ///   snapshot.dict     binary dictionary image ("SLDICT01": varint
 ///                     id-delta + term bytes, CRC32 trailer)
 ///   snapshot.triples  delta-encoded, varint-compressed sorted-triple image
@@ -51,30 +56,32 @@ namespace slider {
 ///                     loader can mmap and bulk-build; each object carries
 ///                     its explicit/inferred flag + derivation count byte;
 ///                     CRC32 trailer), anchored at a log LSN
-///   dictionary.dump   v2 text dump — the recovery *fallback* dictionary
-///                     source, kept for inspection and legacy readers
-///   index_pso.bin /   the two TRREE-style sorted statement indexes
-///   index_pos.bin     (raw dumps, not read by recovery)
 ///
-/// Checkpoint writes every one of these atomically (temp file + rename), a
-/// crash mid-checkpoint therefore leaves the previous images intact; then
-/// it truncates the statement log to the records at and above the
-/// snapshot's LSN (truncate_log_on_checkpoint). The ordering makes the
-/// crash window benign: the snapshot renames in *before* the log truncates,
-/// and replay skips records below the snapshot LSN either way.
+/// Before the first Checkpoint only statements.log exists, and it is
+/// enough: Open journals the vocabulary and fragment terms, AddTriples
+/// journals every term the first time a statement uses it (rules never
+/// mint terms), so replaying the log rebuilds dictionary and store alike.
+/// The snapshot pair is an accelerator. Checkpoint writes both images
+/// atomically (temp file + rename), so a crash mid-checkpoint leaves the
+/// previous images intact; then it truncates the statement log to the
+/// records at and above the snapshot's LSN (truncate_log_on_checkpoint),
+/// term records included — from then on the image binds the terms of the
+/// truncated prefix. The ordering makes the crash window benign: the
+/// snapshot renames in *before* the log truncates, and replay skips
+/// records below the snapshot LSN either way.
 ///
 /// Recover prefers the snapshot pair: restore dictionary ids from
-/// snapshot.dict (no re-hash through the text Encode path), bulk-build the
+/// snapshot.dict (no re-hash through the Encode path), bulk-build the
 /// store from snapshot.triples (exact-capacity LfRow versions, no dedup
 /// probes, no reasoner), then replay only the short log tail at or above
-/// the snapshot LSN — O(state + tail) instead of O(history). A corrupt or
-/// partial snapshot falls back to full log replay (with a warning) when
-/// the full log is still present (base LSN 0); pre-checkpoint directories
-/// — no snapshot files at all — recover exactly as before. Torn final log
-/// records (crash mid-append) are skipped with a warning. The kHybrid
-/// schema closure is derived state: whatever schema rows the snapshot
-/// carries are dropped and re-derived after recovery (ResetEngine), so all
-/// four inference modes recover bit-identical closures.
+/// the snapshot LSN, term records restoring through Dictionary::Restore —
+/// O(state + tail) instead of O(history). Without a snapshot, or with a
+/// corrupt or partial one while the full log is still present (base LSN
+/// 0, with a warning), it replays the whole log. Torn final log records
+/// (crash mid-append) are skipped with a warning. The kHybrid schema
+/// closure is derived state: whatever schema rows the snapshot carries
+/// are dropped and re-derived after recovery (ResetEngine), so every
+/// inference mode recovers a bit-identical closure.
 class Repository {
  public:
   /// Inference core selection.
@@ -115,9 +122,9 @@ class Repository {
   };
 
   struct Options {
-    /// Directory for the statement log, dictionary dump and statement
-    /// indexes. Empty disables persistence (used by tests that only need
-    /// the inference core).
+    /// Directory for the statement log and the snapshot pair. Empty
+    /// disables persistence (used by tests that only need the inference
+    /// core).
     std::string storage_dir;
     /// Statements between flushes of the statement log.
     size_t log_flush_interval = 10000;
@@ -165,7 +172,9 @@ class Repository {
   Result<LoadStats> Load(std::string_view ntriples_document);
 
   /// Adds already-encoded statements. Under the default batch semantics the
-  /// whole closure is recomputed from scratch.
+  /// whole closure is recomputed from scratch. Every id must be bound in
+  /// dictionary(): with storage on, each term is journaled the first time
+  /// a statement uses it.
   Result<LoadStats> AddTriples(const TripleVec& triples);
 
   /// Removes explicit statements. Under the batch modes the closure is
@@ -195,12 +204,11 @@ class Repository {
 
   /// Commits the repository state to disk: flushes the statement log,
   /// writes the snapshot pair (binary dictionary image + sorted-triple
-  /// image anchored at the log's next LSN), refreshes the text dictionary
-  /// dump and the two TRREE-style statement indexes (PSO/POS), and — by
-  /// default — truncates the statement log to the tail the snapshot does
-  /// not cover. Every file write is atomic (temp file + rename). Part of a
-  /// repository load, so the comparative benches include it in the
-  /// baseline's measured time. See the class comment for the lifecycle.
+  /// image anchored at the log's next LSN) and — by default — truncates
+  /// the statement log to the tail the snapshot does not cover. Every file
+  /// write is atomic (temp file + rename). Part of a repository load, so
+  /// the comparative benches include it in the baseline's measured time.
+  /// See the class comment for the lifecycle.
   Status Checkpoint();
 
   /// Rewrites the statement log keeping only the last record per distinct
@@ -214,10 +222,10 @@ class Repository {
   /// Rebuilds a repository from its storage directory. Prefers the
   /// checkpoint snapshot pair — dictionary-image restore, bulk-built
   /// store, short tail replay — and falls back to the full log replay
-  /// (text dictionary dump + ordered replay of every record, additions
-  /// and tombstones alike) when the snapshot is absent, or corrupt while
-  /// the full log is still available. Legacy (pre-checkpoint, pre-v2-log)
-  /// directories recover exactly as before. See the class comment.
+  /// (ordered replay of every record: terms, additions and tombstones)
+  /// when the snapshot is absent, or corrupt while the full log is still
+  /// available. A log without the SLDRLOG2 header is an error. See the
+  /// class comment.
   static Result<std::unique_ptr<Repository>> Recover(
       const FragmentFactory& factory, Options options);
 
@@ -297,28 +305,25 @@ class Repository {
   Result<MaterializeStats> ApplyOnDemand(const TripleVec& input);
 
   std::string LogPath() const;
-  std::string DictPath() const;
   std::string SnapshotDictPath() const;
   std::string SnapshotTriplesPath() const;
-  Status PersistDictionary() const;
-  Status PersistIndexes() const;
 
-  /// Snapshot-preferred recovery: dictionary image + bulk-built store +
-  /// tail replay of `log` records at or above the snapshot LSN.
-  static Result<std::unique_ptr<Repository>> RecoverFromSnapshot(
+  /// Appends a term record for every id of `triples` not yet durable.
+  Status JournalTerms(const TripleVec& triples);
+
+  /// Appends a term record for `id` unless it is already durable.
+  Status JournalTerm(TermId id);
+
+  /// Records that `id`'s binding survives a crash without a new record.
+  void MarkDurable(TermId id);
+
+  /// Recover's core: the snapshot pair if `from_snapshot`, then the log's
+  /// term records and an ordered replay of its statements at or above the
+  /// snapshot LSN (all of them without a snapshot); the log is reopened
+  /// for appending and the engine reset.
+  static Result<std::unique_ptr<Repository>> Replay(
       const FragmentFactory& factory, const Options& options,
-      const StatementLog::Contents& log);
-
-  /// Fallback/legacy recovery: text dictionary dump + ordered replay of
-  /// the whole log.
-  static Result<std::unique_ptr<Repository>> RecoverFromFullReplay(
-      const FragmentFactory& factory, const Options& options,
-      const StatementLog::Contents& log);
-
-  /// Shared tail of both recovery paths: explicit bookkeeping from the
-  /// store's support flags, log reopened for appending, engine reset.
-  static Result<std::unique_ptr<Repository>> FinishRecovery(
-      std::unique_ptr<Repository> repo);
+      const StatementLog::Contents& log, bool from_snapshot);
 
   Options options_;
   Dictionary dict_;
@@ -339,6 +344,11 @@ class Repository {
   uint64_t snapshot_lsn_ = 0;  // LSN the last snapshot (written or recovered
                                // from) anchors at; guards log compaction
   uint64_t tombstones_at_last_compact_ = 0;  // auto-compaction trigger state
+  // Ids a Recover could rebind right now: journaled by a term record, or
+  // held by the snapshot image once the log is truncated against it. A
+  // bitset, not a watermark: concurrent parsers can bind ids out of order
+  // and Restore leaves gaps.
+  std::vector<bool> durable_terms_;
 };
 
 }  // namespace slider

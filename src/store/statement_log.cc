@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <array>
 #include <cstring>
 #include <unordered_map>
 
@@ -17,31 +16,13 @@ namespace slider {
 namespace {
 
 constexpr size_t kPayloadSize = 3 * sizeof(uint64_t);
-constexpr size_t kRecordSizeV2 = kPayloadSize + sizeof(uint32_t);
+constexpr size_t kCrcSize = sizeof(uint32_t);
+constexpr size_t kRecordSize = kPayloadSize + kCrcSize;
 constexpr char kMagic[8] = {'S', 'L', 'D', 'R', 'L', 'O', 'G', '2'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
-
-void EncodePayload(const Triple& t, unsigned char* out) {
-  std::memcpy(out, &t.s, sizeof(uint64_t));
-  std::memcpy(out + 8, &t.p, sizeof(uint64_t));
-  std::memcpy(out + 16, &t.o, sizeof(uint64_t));
-}
-
-StatementLog::Record DecodePayload(const unsigned char* payload, bool v2) {
-  StatementLog::Record r;
-  std::memcpy(&r.triple.s, payload, sizeof(uint64_t));
-  std::memcpy(&r.triple.p, payload + 8, sizeof(uint64_t));
-  std::memcpy(&r.triple.o, payload + 16, sizeof(uint64_t));
-  r.tombstone = (r.triple.s & StatementLog::kTombstoneBit) != 0;
-  r.triple.s &= ~StatementLog::kTombstoneBit;
-  if (v2) {
-    // Legacy logs never set bit 62 in practice, but it *is* id space there;
-    // only the v2 format reserves it for the inferred flag.
-    r.inferred = (r.triple.s & StatementLog::kInferredBit) != 0;
-    r.triple.s &= ~StatementLog::kInferredBit;
-  }
-  return r;
-}
+constexpr uint64_t kTermFlags =
+    StatementLog::kTombstoneBit | StatementLog::kInferredBit;
+constexpr uint64_t kMaxTermBytes = 0xFFFFFFFFull;
 
 std::string EncodeHeader(uint64_t base_lsn) {
   std::string out(kMagic, sizeof(kMagic));
@@ -49,62 +30,150 @@ std::string EncodeHeader(uint64_t base_lsn) {
   return out;
 }
 
-/// Serializes one v2 record (payload + CRC) into `out`.
-void EncodeRecordV2(const StatementLog::Record& r, std::string* out) {
-  Triple encoded = r.triple;
-  if (r.tombstone) encoded.s |= StatementLog::kTombstoneBit;
-  if (r.inferred) encoded.s |= StatementLog::kInferredBit;
-  unsigned char payload[kPayloadSize];
-  EncodePayload(encoded, payload);
-  out->append(reinterpret_cast<const char*>(payload), kPayloadSize);
-  PutFixed32(out, Crc32(0, payload, kPayloadSize));
+/// Encodes a statement record (payload + CRC) into `out[kRecordSize]`.
+void EncodeStatement(const Triple& t, uint64_t flags, char* out) {
+  const uint64_t words[3] = {t.s | flags, t.p, t.o};
+  std::memcpy(out, words, kPayloadSize);
+  const uint32_t crc = Crc32(0, out, kPayloadSize);
+  for (size_t i = 0; i < kCrcSize; ++i) {
+    out[kPayloadSize + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
+/// One intact record of a log image, viewed in place.
+struct RawRecord {
+  std::string_view bytes;  ///< the whole record, checksum included
+  uint64_t words[3];       ///< payload words, flag bits still on words[0]
+  std::string_view term;   ///< term records: the term bytes
+
+  bool is_term() const { return (words[0] & kTermFlags) == kTermFlags; }
+};
+
+StatementLog::Record Decode(const RawRecord& raw) {
+  StatementLog::Record r;
+  if (raw.is_term()) {
+    r.term_id = raw.words[1];
+    r.term.assign(raw.term.data(), raw.term.size());
+    return r;
+  }
+  r.tombstone = (raw.words[0] & StatementLog::kTombstoneBit) != 0;
+  r.inferred = (raw.words[0] & StatementLog::kInferredBit) != 0;
+  r.triple = Triple(raw.words[0] & ~kTermFlags, raw.words[1], raw.words[2]);
+  return r;
+}
+
+/// Where a scan of a log image stopped.
+struct ScanEnd {
+  uint64_t base_lsn = 0;
+  size_t end = 0;  ///< offset just past the last intact record
+  bool torn_tail = false;
+};
+
+/// Checks the header of `data` and calls fn(const RawRecord&) for every
+/// intact record in order. Stops at a torn final record (warning, flagged
+/// in the result); corruption with bytes after it is an error.
+template <typename Fn>
+Result<ScanEnd> ScanLog(std::string_view data, const std::string& path,
+                        Fn&& fn) {
+  if (data.size() < kHeaderSize ||
+      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument(Format(
+        "'%s' is not a statement log (missing SLDRLOG2 header)", path.c_str()));
+  }
+  ScanEnd out;
+  out.base_lsn = GetFixed64(data.data() + sizeof(kMagic));
+  size_t pos = kHeaderSize;
+  const auto torn = [&](const char* why) {
+    out.torn_tail = true;
+    SLIDER_LOG(kWarning) << "statement log '" << path
+                         << "': skipping torn final record (" << why << ")";
+  };
+  while (pos < data.size()) {
+    const size_t left = data.size() - pos;
+    if (left < kRecordSize) {
+      torn("short record");
+      break;
+    }
+    RawRecord r;
+    std::memcpy(r.words, data.data() + pos, kPayloadSize);
+    size_t size = kRecordSize;
+    if (r.is_term()) {
+      // Validate the length before using it: it must fit what is left of
+      // the file. Running past the end is a crash mid-append; a length no
+      // term can have (or the reserved id) is corruption.
+      const uint64_t length = r.words[2];
+      if (length > kMaxTermBytes || r.words[1] == kAnyTerm) {
+        return Status::IOError(
+            Format("statement log '%s': impossible term record (id %llu, "
+                   "%llu bytes) at offset %zu",
+                   path.c_str(), static_cast<unsigned long long>(r.words[1]),
+                   static_cast<unsigned long long>(length), pos));
+      }
+      if (length > left - kRecordSize) {
+        torn("term runs past the end of the file");
+        break;
+      }
+      size += length;
+      r.term = data.substr(pos + kPayloadSize, length);
+    }
+    const uint32_t stored = GetFixed32(data.data() + pos + size - kCrcSize);
+    if (Crc32(0, data.data() + pos, size - kCrcSize) != stored) {
+      if (size == left) {
+        torn("checksum mismatch");
+        break;
+      }
+      return Status::IOError(
+          Format("statement log '%s': checksum mismatch at offset %zu "
+                 "with records after it",
+                 path.c_str(), pos));
+    }
+    r.bytes = data.substr(pos, size);
+    fn(r);
+    pos += size;
+  }
+  out.end = pos;
+  return out;
 }
 
 }  // namespace
 
 Result<std::unique_ptr<StatementLog>> StatementLog::Open(const std::string& path,
                                                          size_t flush_interval) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError(Format("cannot open statement log '%s'", path.c_str()));
-  }
-  const std::string header = EncodeHeader(0);
-  if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
-    std::fclose(file);
-    return Status::IOError(
-        Format("short header write on statement log '%s'", path.c_str()));
-  }
-  return std::unique_ptr<StatementLog>(
-      new StatementLog(file, path, flush_interval));
+  auto log =
+      std::unique_ptr<StatementLog>(new StatementLog(path, flush_interval));
+  // The header goes down atomically, so even a crash before the first
+  // flush leaves a readable (empty) log.
+  SLIDER_RETURN_NOT_OK(log->ReplaceFile(EncodeHeader(0), 0, 0));
+  return log;
 }
 
 Result<std::unique_ptr<StatementLog>> StatementLog::OpenAppend(
     const std::string& path, size_t flush_interval) {
-  // Decode the existing file first: the handle must know the base LSN and
-  // record count for next_lsn(), and whether to keep appending in the
-  // legacy format. This also rejects appending after mid-file corruption.
-  SLIDER_ASSIGN_OR_RETURN(Contents existing, ReadLog(path));
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
+  // Scan the existing file first: the handle must know the base LSN and
+  // record count for next_lsn(). This also rejects appending after
+  // mid-file corruption.
+  SLIDER_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
+  uint64_t records = 0;
+  SLIDER_ASSIGN_OR_RETURN(const ScanEnd scan,
+                          ScanLog(data, path, [&](const RawRecord&) {
+                            ++records;
+                          }));
+  auto log =
+      std::unique_ptr<StatementLog>(new StatementLog(path, flush_interval));
+  if (scan.torn_tail) {
+    // Drop the torn bytes before appending: a fresh record written after
+    // them would otherwise be misframed by the next reader. The rewrite is
+    // atomic, so a crash here still leaves a readable log.
+    SLIDER_RETURN_NOT_OK(log->ReplaceFile(data.substr(0, scan.end),
+                                          scan.base_lsn, records));
+    return log;
+  }
+  log->file_ = std::fopen(path.c_str(), "ab");
+  if (log->file_ == nullptr) {
     return Status::IOError(Format("cannot open statement log '%s'", path.c_str()));
   }
-  auto log = std::unique_ptr<StatementLog>(
-      new StatementLog(file, path, flush_interval));
-  log->v2_ = existing.v2;
-  log->base_lsn_ = existing.base_lsn;
-  log->records_in_file_ = existing.records.size();
-  if (existing.torn_tail) {
-    // Drop the torn bytes before appending: a fresh record written after
-    // them would otherwise be misframed by the next reader. The rewrite
-    // (atomic, so a crash here still leaves a readable log) emits the v2
-    // format — a legacy log with a torn tail is upgraded in the process.
-    std::string contents = EncodeHeader(existing.base_lsn);
-    for (const Record& r : existing.records) {
-      EncodeRecordV2(r, &contents);
-    }
-    SLIDER_RETURN_NOT_OK(log->ReplaceFile(contents, existing.base_lsn,
-                                          existing.records.size()));
-  }
+  log->base_lsn_ = scan.base_lsn;
+  log->records_in_file_ = records;
   return log;
 }
 
@@ -115,34 +184,37 @@ StatementLog::~StatementLog() {
 }
 
 Status StatementLog::Append(const Triple& t, bool is_explicit) {
-  return AppendRecord(t, is_explicit ? 0 : kInferredBit);
+  char record[kRecordSize];
+  EncodeStatement(t, is_explicit ? 0 : kInferredBit, record);
+  return Write(record, kRecordSize);
 }
 
 Status StatementLog::AppendTombstone(const Triple& t) {
-  const Status appended = AppendRecord(t, kTombstoneBit);
-  if (appended.ok()) ++tombstones_written_;
-  return appended;
+  char record[kRecordSize];
+  EncodeStatement(t, kTombstoneBit, record);
+  SLIDER_RETURN_NOT_OK(Write(record, kRecordSize));
+  ++tombstones_written_;
+  return Status::OK();
 }
 
-Status StatementLog::AppendRecord(const Triple& t, uint64_t flags) {
+Status StatementLog::AppendTerm(TermId id, std::string_view term) {
+  if (id == kAnyTerm || term.size() > kMaxTermBytes) {
+    return Status::InvalidArgument(
+        Format("cannot journal term id %llu of %zu bytes",
+               static_cast<unsigned long long>(id), term.size()));
+  }
+  const uint64_t words[3] = {kTermFlags, id, term.size()};
+  std::string record(reinterpret_cast<const char*>(words), kPayloadSize);
+  record.append(term.data(), term.size());
+  PutFixed32(&record, Crc32(0, record.data(), record.size()));
+  return Write(record.data(), record.size());
+}
+
+Status StatementLog::Write(const char* bytes, size_t size) {
   if (file_ == nullptr) {
     return Status::IOError("statement log is closed");
   }
-  Triple encoded = t;
-  if (!v2_) flags &= kTombstoneBit;  // legacy records carry no inferred bit
-  encoded.s |= flags;
-  std::array<unsigned char, kRecordSizeV2> record;
-  EncodePayload(encoded, record.data());
-  size_t record_size = kPayloadSize;
-  if (v2_) {
-    const uint32_t crc = Crc32(0, record.data(), kPayloadSize);
-    std::string crc_bytes;
-    PutFixed32(&crc_bytes, crc);
-    std::memcpy(record.data() + kPayloadSize, crc_bytes.data(),
-                sizeof(uint32_t));
-    record_size = kRecordSizeV2;
-  }
-  if (std::fwrite(record.data(), 1, record_size, file_) != record_size) {
+  if (std::fwrite(bytes, 1, size, file_) != size) {
     return Status::IOError(Format("short write on statement log '%s'", path_.c_str()));
   }
   ++records_written_;
@@ -205,7 +277,6 @@ Status StatementLog::ReplaceFile(const std::string& contents,
         Format("cannot reopen statement log '%s'", path_.c_str()));
   }
   file_ = file;
-  v2_ = true;
   base_lsn_ = new_base;
   records_in_file_ = new_record_count;
   unflushed_ = 0;
@@ -216,7 +287,7 @@ Status StatementLog::TruncateTo(uint64_t lsn) {
   if (file_ == nullptr) {
     return Status::IOError("statement log is closed");
   }
-  if (lsn <= base_lsn_ && v2_) {
+  if (lsn <= base_lsn_) {
     return Status::OK();  // nothing below the requested anchor
   }
   if (lsn > next_lsn()) {
@@ -226,15 +297,23 @@ Status StatementLog::TruncateTo(uint64_t lsn) {
                static_cast<unsigned long long>(next_lsn()), path_.c_str()));
   }
   SLIDER_RETURN_NOT_OK(Flush());
-  SLIDER_ASSIGN_OR_RETURN(Contents current, ReadLog(path_));
+  SLIDER_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path_));
+  // The kept records are a suffix of the file: copy their bytes verbatim,
+  // from the end of the last dropped record (lsn > base, so there is one).
+  const uint64_t dropped = lsn - base_lsn_;
+  uint64_t records = 0;
+  size_t tail_start = 0;
+  SLIDER_ASSIGN_OR_RETURN(const ScanEnd scan,
+                          ScanLog(data, path_, [&](const RawRecord& r) {
+                            if (records++ < dropped) {
+                              tail_start = static_cast<size_t>(
+                                  r.bytes.data() - data.data()) +
+                                  r.bytes.size();
+                            }
+                          }));
   std::string contents = EncodeHeader(lsn);
-  uint64_t kept = 0;
-  for (size_t i = 0; i < current.records.size(); ++i) {
-    if (current.base_lsn + i < lsn) continue;
-    EncodeRecordV2(current.records[i], &contents);
-    ++kept;
-  }
-  return ReplaceFile(contents, lsn, kept);
+  contents.append(data, tail_start, scan.end - tail_start);
+  return ReplaceFile(contents, lsn, records - dropped);
 }
 
 Status StatementLog::Compact() {
@@ -242,7 +321,11 @@ Status StatementLog::Compact() {
     return Status::IOError("statement log is closed");
   }
   SLIDER_RETURN_NOT_OK(Flush());
-  SLIDER_ASSIGN_OR_RETURN(Contents current, ReadLog(path_));
+  SLIDER_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path_));
+  std::vector<RawRecord> raw;
+  SLIDER_ASSIGN_OR_RETURN(
+      const ScanEnd scan,
+      ScanLog(data, path_, [&](const RawRecord& r) { raw.push_back(r); }));
   // Last-record-per-triple, emitted in order of last occurrence: replay of
   // the survivors equals replay of the original, because every superseded
   // record's effect was overwritten by the survivor anyway — with one
@@ -252,8 +335,9 @@ Status StatementLog::Compact() {
   // tombstone did.
   std::unordered_map<Triple, size_t, TripleHash> last;
   std::unordered_map<Triple, bool, TripleHash> final_explicit;
-  for (size_t i = 0; i < current.records.size(); ++i) {
-    const Record& r = current.records[i];
+  for (size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i].is_term()) continue;
+    const Record r = Decode(raw[i]);
     last[r.triple] = i;
     bool& is_explicit = final_explicit[r.triple];
     if (r.tombstone) {
@@ -262,21 +346,30 @@ Status StatementLog::Compact() {
       is_explicit = true;
     }
   }
-  std::string contents = EncodeHeader(current.base_lsn);
+  std::string contents = EncodeHeader(scan.base_lsn);
   uint64_t kept = 0;
-  for (size_t i = 0; i < current.records.size(); ++i) {
-    Record r = current.records[i];
+  for (size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i].is_term()) {
+      // Kept in place: it precedes every statement that references it.
+      contents.append(raw[i].bytes.data(), raw[i].bytes.size());
+      ++kept;
+      continue;
+    }
+    const Record r = Decode(raw[i]);
     if (last[r.triple] != i) continue;  // superseded by a later record
-    if (r.tombstone && current.base_lsn == 0) {
+    if (r.tombstone && scan.base_lsn == 0) {
       // No snapshot can hold this triple (nothing precedes this file), so
       // a tombstone-final history is a cancelled add/tombstone pair.
       continue;
     }
-    if (!r.tombstone) r.inferred = !final_explicit[r.triple];
-    EncodeRecordV2(r, &contents);
+    uint64_t flags = kTombstoneBit;
+    if (!r.tombstone) flags = final_explicit[r.triple] ? 0 : kInferredBit;
+    char record[kRecordSize];
+    EncodeStatement(r.triple, flags, record);
+    contents.append(record, kRecordSize);
     ++kept;
   }
-  return ReplaceFile(contents, current.base_lsn, kept);
+  return ReplaceFile(contents, scan.base_lsn, kept);
 }
 
 Result<TripleVec> StatementLog::ReadAll(const std::string& path) {
@@ -284,7 +377,7 @@ Result<TripleVec> StatementLog::ReadAll(const std::string& path) {
   TripleVec out;
   out.reserve(records.size());
   for (const Record& r : records) {
-    if (!r.tombstone) out.push_back(r.triple);
+    if (!r.tombstone && !r.is_term()) out.push_back(r.triple);
   }
   return out;
 }
@@ -298,44 +391,12 @@ Result<std::vector<StatementLog::Record>> StatementLog::ReadRecords(
 Result<StatementLog::Contents> StatementLog::ReadLog(const std::string& path) {
   SLIDER_ASSIGN_OR_RETURN(const std::string data, ReadFileToString(path));
   Contents out;
-  size_t pos = 0;
-  out.v2 = data.size() >= kHeaderSize &&
-           std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0;
-  if (out.v2) {
-    out.base_lsn = GetFixed64(data.data() + sizeof(kMagic));
-    pos = kHeaderSize;
-  }
-  const size_t record_size = out.v2 ? kRecordSizeV2 : kPayloadSize;
-  while (pos + record_size <= data.size()) {
-    const unsigned char* payload =
-        reinterpret_cast<const unsigned char*>(data.data() + pos);
-    if (out.v2) {
-      const uint32_t stored = GetFixed32(data.data() + pos + kPayloadSize);
-      if (Crc32(0, payload, kPayloadSize) != stored) {
-        if (pos + record_size == data.size()) {
-          // Final record, bad checksum: a crash mid-append. Skip it.
-          out.torn_tail = true;
-          SLIDER_LOG(kWarning)
-              << "statement log '" << path
-              << "': skipping torn final record (checksum mismatch)";
-          return out;
-        }
-        return Status::IOError(
-            Format("statement log '%s': checksum mismatch at offset %zu "
-                   "with records after it",
-                   path.c_str(), pos));
-      }
-    }
-    out.records.push_back(DecodePayload(payload, out.v2));
-    pos += record_size;
-  }
-  if (pos != data.size()) {
-    // Trailing partial record: a crash mid-append truncated the write.
-    out.torn_tail = true;
-    SLIDER_LOG(kWarning) << "statement log '" << path
-                         << "': skipping torn final record ("
-                         << (data.size() - pos) << " trailing bytes)";
-  }
+  SLIDER_ASSIGN_OR_RETURN(const ScanEnd scan,
+                          ScanLog(data, path, [&](const RawRecord& r) {
+                            out.records.push_back(Decode(r));
+                          }));
+  out.base_lsn = scan.base_lsn;
+  out.torn_tail = scan.torn_tail;
   return out;
 }
 

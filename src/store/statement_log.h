@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -21,47 +23,57 @@ namespace slider {
 /// log can be replayed to rebuild the store, which is also how the
 /// recovery path verifies durability.
 ///
-/// v2 format. A fresh log starts with a 16-byte header — the 8-byte magic
+/// Format. A log starts with a 16-byte header — the 8-byte magic
 /// "SLDRLOG2" followed by a little-endian uint64 *base LSN* — and then holds
-/// 28-byte records: the 24-byte (s, p, o) payload followed by a CRC32 of
-/// those 24 bytes. Two flag bits ride on the subject word (term ids are
-/// dense dictionary handles that never reach them): kTombstoneBit marks a
-/// deletion, kInferredBit marks a rule-derived statement, so replay can
-/// restore support flags without re-running inference. Per-record CRCs let
-/// the reader distinguish a *torn tail* (crash mid-append: the final record
-/// is short or fails its checksum — skipped with a warning) from mid-file
-/// corruption (an error).
+/// two kinds of records, each ending in a CRC32 of all its bytes before it:
+///  - a *statement record* is 28 bytes: the 24-byte (s, p, o) payload and
+///    its CRC. Two flag bits ride on the subject word (term ids are dense
+///    dictionary handles that never reach them): kTombstoneBit marks a
+///    deletion, kInferredBit a rule-derived statement, so replay restores
+///    support flags without re-running inference;
+///  - a *term record* binds a dictionary id to its lexical form. Its
+///    subject word sets both flag bits (no statement uses that
+///    combination), the p word holds the term id and the o word the byte
+///    length; the term bytes follow, then the CRC.
+/// A file without the magic is rejected. Per-record CRCs let the reader
+/// tell a *torn tail* (crash mid-append: the final record is short, its
+/// term runs past the end of the file, or it fails its checksum — skipped
+/// with a warning) from mid-file corruption (an error). A term length is
+/// checked against the bytes left in the file before it is used; one no
+/// term can have (4 GiB or more) is corruption, wherever it sits.
 ///
-/// LSNs. Every record has a global *log sequence number*: the file's base
-/// LSN plus its index in the file. A snapshot taken at LSN S covers every
-/// record below S; TruncateTo(S) rewrites the log to hold only the tail at
-/// and above S (atomically, via temp file + rename), after which the header
-/// base is S. Replay after a snapshot applies only records with LSN >= S,
-/// which also makes the crash window between snapshot rename and log
-/// truncation benign — the skipped prefix is exactly what the snapshot
-/// already holds.
+/// Self-description. The log alone rebuilds a repository: every term id a
+/// statement record at LSN L references is bound either by a term record
+/// below L or, once the log has been truncated, by the snapshot image that
+/// covers the truncated prefix. Which terms to journal is the writer's
+/// call (Repository journals each id the first time a statement uses it).
 ///
-/// Legacy format. Logs without the magic are the original headerless
-/// 24-byte-record format (base LSN 0, no CRCs, no inferred bit; the magic
-/// read as a little-endian term id is impossibly large, so misdetection
-/// would need a dictionary of >10^18 terms). They read back unchanged —
-/// tombstone-free legacy logs decode as pure additions — and a handle
-/// opened on one keeps appending legacy records so the file stays
-/// self-consistent.
+/// LSNs. Every record — statement or term — has a global *log sequence
+/// number*: the file's base LSN plus its index in the file. A snapshot
+/// taken at LSN S covers every record below S; TruncateTo(S) rewrites the
+/// log to hold only the tail at and above S (atomically, via temp file +
+/// rename), after which the header base is S. Replay after a snapshot
+/// applies only records with LSN >= S, which also makes the crash window
+/// between snapshot rename and log truncation benign — the skipped prefix
+/// is exactly what the snapshot already holds.
 class StatementLog {
  public:
-  /// Marks a record as a deletion (set on the subject word).
+  /// Marks a statement record as a deletion (set on the subject word).
   static constexpr uint64_t kTombstoneBit = 1ull << 63;
-  /// Marks a record as rule-derived rather than asserted (v2 only).
+  /// Marks a statement record as rule-derived rather than asserted.
   static constexpr uint64_t kInferredBit = 1ull << 62;
 
-  /// One decoded log record.
+  /// One decoded log record: a statement (addition or tombstone) or, when
+  /// is_term(), a dictionary binding of `term` to `term_id`.
   struct Record {
-    Triple triple;
+    Triple triple;  ///< statement records only
     bool tombstone = false;
-    /// True iff the statement was logged as rule-derived (v2 logs only;
-    /// legacy records always read back as explicit).
+    /// True iff the statement was logged as rule-derived.
     bool inferred = false;
+    TermId term_id = kAnyTerm;  ///< term records only
+    std::string term;           ///< term records only
+
+    bool is_term() const { return term_id != kAnyTerm; }
   };
 
   /// A fully decoded log file: its records plus the header fields replay
@@ -69,23 +81,22 @@ class StatementLog {
   struct Contents {
     std::vector<Record> records;
     uint64_t base_lsn = 0;  ///< global LSN of records[0]
-    bool v2 = false;        ///< false for legacy headerless logs
     /// True iff a torn final record was skipped (crash mid-append).
     bool torn_tail = false;
   };
 
-  /// Creates or truncates the log file at `path` (v2 header, base LSN 0).
-  /// A `flush_interval` of n flushes the OS buffer every n appended
-  /// statements (0 = only on Close).
+  /// Creates or truncates the log file at `path` (header with base LSN 0,
+  /// written atomically). A `flush_interval` of n flushes the OS buffer
+  /// every n appended records (0 = only on Close).
   static Result<std::unique_ptr<StatementLog>> Open(const std::string& path,
                                                     size_t flush_interval);
 
   /// Opens the log file at `path` for appending, preserving the existing
   /// records (the Recover path: a recovered repository keeps logging updates
   /// after the records it was rebuilt from). The existing header and record
-  /// count are read back so next_lsn() stays globally consistent; appending
-  /// to a legacy log keeps writing legacy records. `records_written()`
-  /// counts only the records appended by this handle.
+  /// count are read back so next_lsn() stays globally consistent, and a
+  /// torn tail is cut off first. `records_written()` counts only the
+  /// records appended by this handle.
   static Result<std::unique_ptr<StatementLog>> OpenAppend(
       const std::string& path, size_t flush_interval);
 
@@ -95,8 +106,7 @@ class StatementLog {
   StatementLog& operator=(const StatementLog&) = delete;
 
   /// Appends one statement record. `is_explicit` false marks the record
-  /// rule-derived so recovery can restore its support flag (v2 logs only;
-  /// a legacy handle drops the distinction, as the legacy format must).
+  /// rule-derived so recovery can restore its support flag.
   Status Append(const Triple& t, bool is_explicit = true);
 
   /// Appends a tombstone record: on replay, `t` is removed from the
@@ -105,6 +115,10 @@ class StatementLog {
 
   /// Appends a batch of explicit statement records.
   Status AppendBatch(const TripleVec& batch);
+
+  /// Appends a term record binding `term` to dictionary id `id`. Recovery
+  /// restores it (Dictionary::Restore) before any later statement record.
+  Status AppendTerm(TermId id, std::string_view term);
 
   /// Flushes buffered records to the OS.
   Status Flush();
@@ -124,25 +138,28 @@ class StatementLog {
   uint64_t next_lsn() const { return base_lsn_ + records_in_file_; }
 
   /// Rewrites the log to hold only the records with global LSN >= `lsn`
-  /// and sets the header base to `lsn` (checkpoint truncation). Atomic:
-  /// the tail is written to a temp file and renamed over the log. The
-  /// handle stays open on the new file — borrowed StatementLog* pointers
-  /// (the embedded incremental engine holds one) remain valid. A `lsn`
-  /// at or below the current base is a no-op; beyond next_lsn() is an
-  /// error. Legacy handles are upgraded to v2 in the process.
+  /// and sets the header base to `lsn` (checkpoint truncation). Term
+  /// records below `lsn` go too: the snapshot's dictionary image holds
+  /// their bindings. Atomic: the tail is written to a temp file and
+  /// renamed over the log. The handle stays open on the new file —
+  /// borrowed StatementLog* pointers (the embedded incremental engine
+  /// holds one) remain valid. A `lsn` at or below the current base is a
+  /// no-op; beyond next_lsn() is an error.
   Status TruncateTo(uint64_t lsn);
 
   /// Rewrites the log keeping only the *last* record of each distinct
   /// triple, in order of last occurrence — replaying the compacted log
   /// yields exactly the replay of the original (a superseded add or
-  /// tombstone never changes the final state). When the base LSN is 0 (no
-  /// snapshot skips a prefix of this file), triples whose last record is a
-  /// tombstone drop entirely: the add/tombstone pair cancels. With a
-  /// nonzero base the tombstone-final records are kept — they may be
-  /// deleting triples the snapshot holds. Record indexes shift, so the
-  /// caller must ensure no snapshot anchors *inside* this file (i.e. only
-  /// compact when every snapshot LSN <= base_lsn()); the base is preserved.
-  /// Atomic, same temp-file + rename scheme as TruncateTo.
+  /// tombstone never changes the final state). Every term record is kept
+  /// in place, so it still precedes each statement that references it.
+  /// When the base LSN is 0 (no snapshot skips a prefix of this file),
+  /// triples whose last record is a tombstone drop entirely: the
+  /// add/tombstone pair cancels. With a nonzero base the tombstone-final
+  /// records are kept — they may be deleting triples the snapshot holds.
+  /// Record indexes shift, so the caller must ensure no snapshot anchors
+  /// *inside* this file (i.e. only compact when every snapshot LSN <=
+  /// base_lsn()); the base is preserved. Atomic, same temp-file + rename
+  /// scheme as TruncateTo.
   Status Compact();
 
   /// Number of tombstone records appended by this handle since Open
@@ -150,39 +167,36 @@ class StatementLog {
   uint64_t tombstones_written() const { return tombstones_written_; }
 
   /// Reads every *addition* record of a previously written log, in append
-  /// order; tombstone records are skipped. Kept for raw-dump consumers
-  /// (index files, tests); recovery uses ReadLog, whose ordered replay
-  /// honours deletions.
+  /// order; tombstone and term records are skipped.
   static Result<TripleVec> ReadAll(const std::string& path);
 
-  /// Reads every record — additions and tombstones — in append order.
-  /// Convenience wrapper over ReadLog for callers that do not need the
-  /// header fields.
+  /// Reads every record — additions, tombstones and terms — in append
+  /// order. Convenience wrapper over ReadLog for callers that do not need
+  /// the header fields.
   static Result<std::vector<Record>> ReadRecords(const std::string& path);
 
   /// Reads the whole log: header fields and records. A torn final record
-  /// (short, or failing its CRC with nothing after it) is skipped with a
-  /// warning; a checksum failure *before* the end of the file is an error
-  /// (mid-file corruption, not a crash artifact).
+  /// is skipped with a warning; a file without the header, a checksum
+  /// failure *before* the end of the file, or an impossible term record is
+  /// an error.
   static Result<Contents> ReadLog(const std::string& path);
 
  private:
-  StatementLog(std::FILE* file, std::string path, size_t flush_interval)
-      : file_(file), path_(std::move(path)), flush_interval_(flush_interval) {}
+  StatementLog(std::string path, size_t flush_interval)
+      : path_(std::move(path)), flush_interval_(flush_interval) {}
 
-  /// Appends one record with the given flag bits applied to the subject.
-  Status AppendRecord(const Triple& t, uint64_t flags);
+  /// Writes one encoded record and advances the counters.
+  Status Write(const char* bytes, size_t size);
 
   /// Writes `contents` over the log file atomically and re-opens the
-  /// handle for appending (TruncateTo/Compact core).
+  /// handle for appending (Open/TruncateTo/Compact core).
   Status ReplaceFile(const std::string& contents, uint64_t new_base,
                      uint64_t new_record_count);
 
-  std::FILE* file_;
+  std::FILE* file_ = nullptr;
   std::string path_;
   size_t flush_interval_;
-  bool v2_ = true;               // legacy handles keep appending legacy records
-  uint64_t base_lsn_ = 0;        // header base (v2), 0 for legacy
+  uint64_t base_lsn_ = 0;        // header base
   uint64_t records_in_file_ = 0; // pre-existing + appended by this handle
   uint64_t records_written_ = 0;
   uint64_t tombstones_written_ = 0;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -141,31 +140,43 @@ TEST(RepositoryTest, RecoveryPreservesDictionaryIds) {
   }
 }
 
-TEST(RepositoryTest, RecoversLegacyDictionaryDump) {
-  const std::string dir = FreshDir("repo_recover_legacy");
+TEST(RepositoryTest, RecoversFromTheLogAloneWithoutACheckpoint) {
+  // Never checkpointed: statements.log is the whole directory, and it must
+  // bind every term its statements use, the vocabulary included.
+  const std::string dir = FreshDir("repo_recover_log_only");
   Repository::Options options;
   options.storage_dir = dir;
+  std::vector<std::pair<TermId, std::string>> bindings;
+  size_t closure = 0;
   {
     auto repo = Repository::Open(RhoDfFactory(), options);
     ASSERT_TRUE(repo.ok());
     ASSERT_TRUE((*repo)->Load(ChainGenerator::GenerateNTriples(8)).ok());
-    ASSERT_TRUE((*repo)->Checkpoint().ok());
-    // Rewrite the dump in the pre-sharding format: terms in id order, one
-    // per line, no header.
-    std::vector<std::pair<TermId, std::string>> bindings;
-    (*repo)->dictionary()->ForEach([&](TermId id, std::string_view term) {
+    Dictionary* dict = (*repo)->dictionary();
+    const TermId fresh = dict->Encode("<http://ex/fresh>");
+    ASSERT_TRUE((*repo)
+                    ->AddTriples({{fresh, (*repo)->vocabulary().sub_class_of,
+                                   dict->Encode("<http://ex/Top>")}})
+                    .ok());
+    closure = (*repo)->store().size();
+    dict->ForEach([&](TermId id, std::string_view term) {
       bindings.emplace_back(id, std::string(term));
     });
-    std::ofstream legacy(dir + "/dictionary.dump", std::ios::trunc);
-    for (const auto& [id, term] : bindings) {
-      legacy << term << "\n";
-    }
   }
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"statements.log"});
+
   auto recovered = Repository::Recover(RhoDfFactory(), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ((*recovered)->store().size(),
-            ChainGenerator::InputSize(8) +
-                ChainGenerator::ExpectedRhoDfInferred(8));
+  EXPECT_EQ((*recovered)->store().size(), closure);
+  for (const auto& [id, term] : bindings) {
+    auto decoded = (*recovered)->dictionary()->Decode(id);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, term);
+  }
 }
 
 TEST(RepositoryTest, RecoverRequiresStorageDir) {

@@ -1,9 +1,8 @@
 // Checkpointed snapshots and the recovery paths built on them: the
 // dictionary/triple image round trips, Checkpoint's atomic write + log
 // truncation, Recover's snapshot-preferred fast path with tail replay,
-// the full-replay fallback for corrupt or absent snapshots, the loud
-// failure when the fallback would lose truncated records, and the legacy
-// (pre-checkpoint format) directory path.
+// the full-replay fallback for corrupt or absent snapshots, and the loud
+// failure when the fallback would lose truncated records.
 
 #include "store/snapshot.h"
 
@@ -237,32 +236,33 @@ TEST(SnapshotTest, CorruptSnapshotWithTruncatedLogFailsLoudly) {
   EXPECT_TRUE(recovered.status().IsIOError()) << recovered.status().ToString();
 }
 
-TEST(SnapshotTest, LegacyDirectoryWithoutSnapshotRecovers) {
-  // A directory persisted by the pre-checkpoint format: a headerless raw
-  // 24-byte-record log, a text dictionary dump, and no snapshot files.
-  const std::string dir = FreshDir("snap_legacy");
+TEST(SnapshotTest, UntruncatedLogRecoversWithoutTheSnapshot) {
+  // The snapshot pair is only an accelerator: while the log is whole it
+  // must rebuild everything on its own — including a term bound before
+  // the checkpoint but first used after it, which only the image holds
+  // unless the log journals it on first use.
+  const std::string dir = FreshDir("snap_log_only");
   Repository::Options options;
   options.storage_dir = dir;
   options.truncate_log_on_checkpoint = false;
   TripleSet live_closure;
+  std::string late_term;
+  TermId late = kAnyTerm;
   {
     auto repo = Repository::Open(RhoDfFactory(), options);
     ASSERT_TRUE(repo.ok());
     ASSERT_TRUE((*repo)->Load(ChainGenerator::GenerateNTriples(10)).ok());
+    Dictionary* dict = (*repo)->dictionary();
+    late_term = "<http://ex/bound-before-the-checkpoint>";
+    late = dict->Encode(late_term);
     ASSERT_TRUE((*repo)->Checkpoint().ok());
+    const TripleVec chain = ChainGenerator::Generate(
+        10, dict, (*repo)->vocabulary());
+    ASSERT_TRUE((*repo)
+                    ->AddTriples({{late, (*repo)->vocabulary().sub_class_of,
+                                   chain[0].s}})
+                    .ok());
     live_closure = (*repo)->store().SnapshotSet();
-  }
-  // Downgrade the on-disk state to the legacy layout.
-  auto records = StatementLog::ReadRecords(dir + "/statements.log");
-  ASSERT_TRUE(records.ok());
-  {
-    std::ofstream raw(dir + "/statements.log",
-                      std::ios::binary | std::ios::trunc);
-    for (const StatementLog::Record& r : *records) {
-      ASSERT_FALSE(r.tombstone);  // the chain load never deletes
-      const uint64_t words[3] = {r.triple.s, r.triple.p, r.triple.o};
-      raw.write(reinterpret_cast<const char*>(words), sizeof(words));
-    }
   }
   std::filesystem::remove(dir + "/snapshot.dict");
   std::filesystem::remove(dir + "/snapshot.triples");
@@ -270,9 +270,9 @@ TEST(SnapshotTest, LegacyDirectoryWithoutSnapshotRecovers) {
   auto recovered = Repository::Recover(RhoDfFactory(), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->store().SnapshotSet(), live_closure);
-  // Legacy records carry no support flags: the recovered closure reads
-  // back conservatively explicit, exactly as the old recovery did.
-  EXPECT_EQ((*recovered)->explicit_count(), live_closure.size());
+  auto decoded = (*recovered)->dictionary()->Decode(late);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, late_term);
 }
 
 TEST(SnapshotTest, CompactLogGuardsTheSnapshotAnchor) {

@@ -34,14 +34,19 @@ void FlipByte(const std::string& path, size_t offset) {
   file.write(&byte, 1);
 }
 
-/// Writes a legacy (headerless, CRC-free, 24-byte-record) log by hand.
-void WriteLegacyLog(const std::string& path, const TripleVec& triples) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+/// Appends raw bytes to `path`.
+void AppendBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::app);
   ASSERT_TRUE(file.good());
-  for (const Triple& t : triples) {
-    const uint64_t words[3] = {t.s, t.p, t.o};
-    file.write(reinterpret_cast<const char*>(words), sizeof(words));
-  }
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The 24-byte payload of a term record: both flag bits on the subject
+/// word, the id in the p word, the byte length in the o word.
+std::string TermPayload(TermId id, uint64_t length) {
+  const uint64_t words[3] = {
+      StatementLog::kTombstoneBit | StatementLog::kInferredBit, id, length};
+  return std::string(reinterpret_cast<const char*>(words), sizeof(words));
 }
 
 TEST(StatementLogTest, AppendAndReadBack) {
@@ -99,24 +104,34 @@ TEST(StatementLogTest, TombstoneRoundTrip) {
   EXPECT_EQ(*adds, (TripleVec{{1, 2, 3}, {4, 5, 6}, {1, 2, 3}}));
 }
 
-TEST(StatementLogTest, LegacyLogDecodesAsPureAdditions) {
-  // A log written with Append only — the pre-tombstone format — must read
-  // back with no record marked deleted.
-  const std::string path = TempPath("log_legacy.bin");
+TEST(StatementLogTest, TermRecordsInterleaveWithStatements) {
+  const std::string path = TempPath("log_terms.bin");
   auto log = StatementLog::Open(path, 0);
   ASSERT_TRUE(log.ok());
-  TripleVec batch;
-  for (TermId i = 1; i <= 32; ++i) batch.push_back({i, i + 1, i + 2});
-  ASSERT_TRUE((*log)->AppendBatch(batch).ok());
+  ASSERT_TRUE((*log)->AppendTerm(7, "<http://ex/a>").ok());
+  ASSERT_TRUE((*log)->Append({7, 7, 7}).ok());
+  ASSERT_TRUE((*log)->AppendTerm(8, "\"a literal\twith a tab\"").ok());
+  ASSERT_TRUE((*log)->AppendTombstone({7, 7, 7}).ok());
+  // Term records are LSN-numbered like statements.
+  EXPECT_EQ((*log)->next_lsn(), 4u);
+  EXPECT_TRUE((*log)->AppendTerm(kAnyTerm, "<http://ex/x>").IsInvalidArgument());
   ASSERT_TRUE((*log)->Close().ok());
 
   auto records = StatementLog::ReadRecords(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), batch.size());
-  for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_FALSE((*records)[i].tombstone);
-    EXPECT_EQ((*records)[i].triple, batch[i]);
-  }
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 4u);
+  EXPECT_TRUE((*records)[0].is_term());
+  EXPECT_EQ((*records)[0].term_id, 7u);
+  EXPECT_EQ((*records)[0].term, "<http://ex/a>");
+  EXPECT_FALSE((*records)[1].is_term());
+  EXPECT_EQ((*records)[1].triple, Triple(7, 7, 7));
+  EXPECT_EQ((*records)[2].term, "\"a literal\twith a tab\"");
+  EXPECT_TRUE((*records)[3].tombstone);
+  EXPECT_FALSE((*records)[3].is_term());
+  // ReadAll keeps additions only.
+  auto adds = StatementLog::ReadAll(path);
+  ASSERT_TRUE(adds.ok());
+  EXPECT_EQ(*adds, (TripleVec{{7, 7, 7}}));
 }
 
 TEST(StatementLogTest, AppendAfterCloseFails) {
@@ -320,32 +335,130 @@ TEST(StatementLogTest, CompactKeepsTombstonesAboveANonZeroBase) {
   EXPECT_TRUE(contents->records[0].tombstone);
 }
 
-TEST(StatementLogTest, LegacyHandwrittenLogReadsAndAppends) {
-  // A pre-v2 file: no magic, raw 24-byte records. It must read back as pure
-  // additions at base LSN 0, and a handle opened on it must keep the file
-  // self-consistent (legacy records, no header splice).
-  const std::string path = TempPath("log_legacy_raw.bin");
-  const TripleVec original = {{1, 2, 3}, {4, 5, 6}};
-  WriteLegacyLog(path, original);
+TEST(StatementLogTest, HeaderlessFileIsRejected) {
+  // Raw 24-byte records without the SLDRLOG2 header: not a log.
+  const std::string path = TempPath("log_headerless.bin");
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    const uint64_t words[3] = {1, 2, 3};
+    file.write(reinterpret_cast<const char*>(words), sizeof(words));
+  }
+  EXPECT_TRUE(StatementLog::ReadLog(path).status().IsInvalidArgument());
+  EXPECT_TRUE(StatementLog::OpenAppend(path, 0).status().IsInvalidArgument());
+  // An empty file has no header either.
+  TruncateFile(path, 0);
+  EXPECT_TRUE(StatementLog::ReadLog(path).status().IsInvalidArgument());
+}
 
+TEST(StatementLogTest, TornTermRecordAtTheTailIsSkipped) {
+  const std::string path = TempPath("log_torn_term.bin");
+  const std::string term = "<http://ex/a fairly long term>";
+  for (const size_t keep : {kV2RecordSize + 10, kV2RecordSize + 24 + 5,
+                            kV2RecordSize + 24 + term.size() + 2}) {
+    SCOPED_TRACE("bytes of the term record kept: " +
+                 std::to_string(keep - kV2RecordSize));
+    {
+      auto log = StatementLog::Open(path, 0);
+      ASSERT_TRUE(log.ok());
+      ASSERT_TRUE((*log)->Append({1, 2, 3}).ok());
+      ASSERT_TRUE((*log)->AppendTerm(9, term).ok());
+      ASSERT_TRUE((*log)->Close().ok());
+    }
+    // Crash mid-append: inside the payload, inside the term bytes, inside
+    // the checksum.
+    TruncateFile(path, kV2HeaderSize + keep);
+    auto contents = StatementLog::ReadLog(path);
+    ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+    EXPECT_TRUE(contents->torn_tail);
+    ASSERT_EQ(contents->records.size(), 1u);
+    EXPECT_EQ(contents->records[0].triple, Triple(1, 2, 3));
+  }
+  // A full-length final term record failing its checksum is torn too.
+  {
+    auto log = StatementLog::Open(path, 0);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE((*log)->AppendTerm(9, term).ok());
+    ASSERT_TRUE((*log)->Close().ok());
+  }
+  FlipByte(path, kV2HeaderSize + 24 + 3);
   auto contents = StatementLog::ReadLog(path);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_FALSE(contents->v2);
-  EXPECT_EQ(contents->base_lsn, 0u);
-  ASSERT_EQ(contents->records.size(), 2u);
-  EXPECT_EQ(contents->records[1].triple, Triple(4, 5, 6));
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_TRUE(contents->torn_tail);
+  EXPECT_TRUE(contents->records.empty());
+}
 
-  auto log = StatementLog::OpenAppend(path, 0);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  EXPECT_EQ((*log)->next_lsn(), 2u);
-  ASSERT_TRUE((*log)->Append({7, 8, 9}).ok());
+TEST(StatementLogTest, CorruptTermRecordMidFileIsAnError) {
+  const std::string path = TempPath("log_corrupt_term.bin");
+  auto log = StatementLog::Open(path, 0);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->AppendTerm(9, "<http://ex/a>").ok());
+  ASSERT_TRUE((*log)->Append({9, 9, 9}).ok());
+  ASSERT_TRUE((*log)->Close().ok());
+  // One flipped term byte, one record after it: corruption, not a crash.
+  FlipByte(path, kV2HeaderSize + 24 + 2);
+  EXPECT_TRUE(StatementLog::ReadLog(path).status().IsIOError());
+}
+
+TEST(StatementLogTest, TermLengthPastEndOfFileIsRejected) {
+  const std::string path = TempPath("log_term_length.bin");
+  {
+    auto log = StatementLog::Open(path, 0);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE((*log)->Append({1, 2, 3}).ok());
+    ASSERT_TRUE((*log)->Close().ok());
+  }
+  // A length no term can have is corruption, even in the final record:
+  // the reader must refuse it before allocating anything that size.
+  AppendBytes(path, TermPayload(9, uint64_t{1} << 61) + std::string(8, 'x'));
+  auto contents = StatementLog::ReadLog(path);
+  EXPECT_TRUE(contents.status().IsIOError()) << contents.status().ToString();
+  EXPECT_TRUE(StatementLog::OpenAppend(path, 0).status().IsIOError());
+  // So is a term record for the reserved id.
+  TruncateFile(path, kV2HeaderSize + kV2RecordSize);
+  AppendBytes(path, TermPayload(kAnyTerm, 1) + std::string(8, 'x'));
+  EXPECT_TRUE(StatementLog::ReadLog(path).status().IsIOError());
+
+  // A plausible length that runs past the end is a torn append.
+  TruncateFile(path, kV2HeaderSize + kV2RecordSize);
+  AppendBytes(path, TermPayload(9, 1000) + std::string(8, 'x'));
+  contents = StatementLog::ReadLog(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_TRUE(contents->torn_tail);
+  EXPECT_EQ(contents->records.size(), 1u);
+}
+
+TEST(StatementLogTest, TermRecordsSurviveTruncateAndCompact) {
+  const std::string path = TempPath("log_term_truncate.bin");
+  auto log = StatementLog::Open(path, 0);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->AppendTerm(5, "<http://ex/old>").ok());  // LSN 0
+  ASSERT_TRUE((*log)->Append({5, 5, 5}).ok());                 // LSN 1
+  ASSERT_TRUE((*log)->AppendTerm(6, "<http://ex/new>").ok());  // LSN 2
+  ASSERT_TRUE((*log)->Append({6, 5, 6}).ok());                 // LSN 3
+  ASSERT_TRUE((*log)->AppendTombstone({5, 5, 5}).ok());        // LSN 4
+  ASSERT_TRUE((*log)->Append({6, 5, 6}).ok());                 // LSN 5
+
+  // Truncation drops the term record below the anchor, keeps the one
+  // above it.
+  ASSERT_TRUE((*log)->TruncateTo(2).ok());
+  EXPECT_EQ((*log)->next_lsn(), 6u);
+  // Compaction drops the superseded add but keeps the term record ahead of
+  // the statement that references it.
+  ASSERT_TRUE((*log)->Compact().ok());
+  ASSERT_TRUE((*log)->Append({6, 6, 6}).ok());
   ASSERT_TRUE((*log)->Close().ok());
 
-  auto reread = StatementLog::ReadLog(path);
-  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
-  EXPECT_FALSE(reread->v2);
-  ASSERT_EQ(reread->records.size(), 3u);
-  EXPECT_EQ(reread->records[2].triple, Triple(7, 8, 9));
+  auto contents = StatementLog::ReadLog(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_EQ(contents->base_lsn, 2u);
+  ASSERT_EQ(contents->records.size(), 4u);
+  EXPECT_TRUE(contents->records[0].is_term());
+  EXPECT_EQ(contents->records[0].term_id, 6u);
+  EXPECT_EQ(contents->records[0].term, "<http://ex/new>");
+  EXPECT_TRUE(contents->records[1].tombstone);
+  EXPECT_EQ(contents->records[1].triple, Triple(5, 5, 5));
+  EXPECT_EQ(contents->records[2].triple, Triple(6, 5, 6));
+  EXPECT_EQ(contents->records[3].triple, Triple(6, 6, 6));
 }
 
 }  // namespace
