@@ -1,5 +1,6 @@
 #include "reason/repository.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/fs.h"
@@ -240,6 +241,16 @@ Result<MaterializeStats> Repository::RunInference(const TripleVec& input) {
   return trree_->Materialize(input);
 }
 
+TripleVec Repository::SortedExplicit(const TripleSet& except) const {
+  TripleVec out;
+  out.reserve(explicit_set_.size());
+  for (const Triple& t : explicit_set_) {
+    if (except.count(t) == 0) out.push_back(t);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 const Fragment& Repository::fragment() const {
   if (fragment_ != nullptr) return *fragment_;
   if (slider_ != nullptr) return slider_->fragment();
@@ -315,10 +326,7 @@ Result<Repository::LoadStats> Repository::AddTriples(const TripleVec& triples) {
   TripleVec fresh;
   fresh.reserve(triples.size());
   for (const Triple& t : triples) {
-    if (explicit_set_.insert(t).second) {
-      explicit_.push_back(t);
-      fresh.push_back(t);
-    }
+    if (explicit_set_.insert(t).second) fresh.push_back(t);
   }
 
   LoadStats stats;
@@ -327,7 +335,7 @@ Result<Repository::LoadStats> Repository::AddTriples(const TripleVec& triples) {
     // full explicit statement set.
     store_ = std::make_unique<TripleStore>();
     ResetEngine();
-    SLIDER_ASSIGN_OR_RETURN(stats.materialize, RunInference(explicit_));
+    SLIDER_ASSIGN_OR_RETURN(stats.materialize, RunInference(SortedExplicit()));
   } else {
     SLIDER_ASSIGN_OR_RETURN(stats.materialize, RunInference(fresh));
   }
@@ -365,12 +373,6 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
         if (!logged.ok()) break;
       }
     }
-    TripleVec kept;
-    kept.reserve(explicit_.size() - removed.size());
-    for (const Triple& t : explicit_) {
-      if (removed.count(t) == 0) kept.push_back(t);
-    }
-    explicit_.swap(kept);
     for (const Triple& t : victims) explicit_set_.erase(t);
     if (options_.inference == InferenceMode::kHybrid &&
         SchemaClosureStale(erased)) {
@@ -391,16 +393,10 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     TripleVec victims(removed.begin(), removed.end());
     const uint64_t deriv_before = slider_->total_derivations();
     const Reasoner::RetractStats retract = slider_->Retract(victims);
-    // The store mutation is already applied; keep the explicit bookkeeping
-    // in sync with it unconditionally, and only then surface a log failure
+    // The store mutation is already applied; erase the victims from the
+    // explicit set unconditionally, and only then surface a log failure
     // (durability degraded, in-memory state still consistent).
     const Status logged = slider_->log_status();
-    TripleVec kept;
-    kept.reserve(explicit_.size() - removed.size());
-    for (const Triple& t : explicit_) {
-      if (removed.count(t) == 0) kept.push_back(t);
-    }
-    explicit_.swap(kept);
     for (const Triple& t : victims) explicit_set_.erase(t);
     SLIDER_RETURN_NOT_OK(logged);
     stats.removed = retract.retracted;
@@ -415,12 +411,6 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     stats.seconds = watch.ElapsedSeconds();
     return stats;
   }
-  TripleVec kept;
-  kept.reserve(explicit_.size() - removed.size());
-  for (const Triple& t : explicit_) {
-    if (removed.count(t) == 0) kept.push_back(t);
-  }
-
   // Batch semantics, deletions included: wipe and re-materialise from the
   // surviving explicit statements. The old store is kept alive until the
   // recompute succeeds: on failure it is restored wholesale (the partial
@@ -437,7 +427,8 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     store_ = std::move(old_store);
     ResetEngine();
   };
-  Result<MaterializeStats> materialized = RunInference(kept);
+  Result<MaterializeStats> materialized =
+      RunInference(SortedExplicit(removed));
   if (!materialized.ok()) {
     rollback();
     return materialized.status();
@@ -457,8 +448,7 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
       }
     }
   }
-  explicit_.swap(kept);
-  explicit_set_ = TripleSet(explicit_.begin(), explicit_.end());
+  for (const Triple& t : removed) explicit_set_.erase(t);
   stats.removed = removed.size();
   stats.seconds = watch.ElapsedSeconds();
   return stats;
@@ -709,9 +699,7 @@ Result<std::unique_ptr<Repository>> Repository::Replay(
         for (const TripleStore::SnapshotRow& row : rows) {
           for (const auto& [o, flags] : row.objects) {
             if ((flags & LfRow::kExplicitBit) != 0) {
-              const Triple t(row.subject, p, o);
-              repo->explicit_.push_back(t);
-              repo->explicit_set_.insert(t);
+              repo->explicit_set_.emplace(row.subject, p, o);
             }
           }
         }

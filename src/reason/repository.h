@@ -182,10 +182,12 @@ class Repository {
   /// "initiate the reasoning process from the start" update drawback, now
   /// measurable for deletions too. Under kIncremental the embedded engine
   /// runs DRed (demote → over-delete the cone → rederive survivors)
-  /// instead. Statements the repository never loaded are ignored. Either
-  /// way, tombstone records for everything dropped are appended to the
-  /// statement log, so Recover's ordered replay converges on the new
-  /// closure even though earlier log records still assert the old one.
+  /// instead; there and under kOnDemand/kHybrid, the explicit bookkeeping
+  /// costs O(|triples|). Statements the repository never loaded are
+  /// ignored. Either way, tombstone records for everything dropped are
+  /// appended to the statement log, so Recover's ordered replay converges
+  /// on the new closure even though earlier log records still assert the
+  /// old one.
   Result<LoadStats> RemoveTriples(const TripleVec& triples);
 
   /// Executes a parsed SPARQL Update request, operation by operation:
@@ -262,8 +264,9 @@ class Repository {
   /// Number of distinct statements inferred (non-explicit) so far.
   size_t inferred_count() const;
 
-  /// Number of distinct explicit statements loaded so far.
-  size_t explicit_count() const { return explicit_.size(); }
+  /// Number of distinct explicit statements currently asserted: loaded
+  /// and not yet retracted. O(1).
+  size_t explicit_count() const { return explicit_set_.size(); }
 
  private:
   Repository() = default;
@@ -273,6 +276,11 @@ class Repository {
 
   /// Dispatches to the selected inference core.
   Result<MaterializeStats> RunInference(const TripleVec& input);
+
+  /// The batch baselines' recompute input: the explicit set minus
+  /// `except`, sorted by (s, p, o) so derivation counters never depend on
+  /// the hash set's history.
+  TripleVec SortedExplicit(const TripleSet& except = {}) const;
 
   /// True iff this repository runs one of the on-demand modes.
   bool OnDemandMode() const {
@@ -337,8 +345,9 @@ class Repository {
   std::unique_ptr<Fragment> fragment_;          // set iff kOnDemand/kHybrid
   std::unique_ptr<ForwardProvider> forward_provider_;  // materialized modes
   std::unique_ptr<HybridProvider> hybrid_provider_;    // on-demand modes
-  TripleVec explicit_;     // all explicit statements, for batch recompute
-  TripleSet explicit_set_; // dedup of explicit statements
+  // The asserted explicit statements: the only explicit bookkeeping, so a
+  // retraction costs O(|victims|) here; see SortedExplicit for the batch use.
+  TripleSet explicit_set_;
   bool schema_meta_live_ = false;  // see ProbeSchemaMetaLive (kHybrid)
   uint64_t retired_derivations_ = 0;  // work of engines ResetEngine retired
   uint64_t snapshot_lsn_ = 0;  // LSN the last snapshot (written or recovered
