@@ -23,10 +23,11 @@
 // recovered closure is *bit-identical* to the live one: both closures are
 // serialised as sorted raw (s,p,o) words and compared byte for byte.
 // Support flag/derivation-count bytes are deliberately outside the
-// comparison: derivation counts are engine-internal and never journaled,
-// and kIncremental recovery keeps a conservative explicit superset (flag
-// demotions are not journaled either), so only the closure itself is
-// required to round-trip exactly.
+// comparison: derivation counts are engine-internal and never journaled.
+// Every mode journals each statement with its flag, so the flags round-trip
+// too, except for the incremental engine's unjournaled flag flips (a DRed
+// demotion of a victim that stays derivable, a promotion of an inferred
+// statement); only the closure itself is required to round-trip exactly.
 //
 // Flags: --ontology=NAME (default BSBM_200k; BSBM_30k under --quick),
 //        --rounds=R (default 10 update rounds of history),

@@ -13,6 +13,10 @@
 //   --quick            only BSBM_100k + four chains (CI-sized run)
 //   --ontology=NAME    a single corpus row
 //
+// Both engines close the same input under the same fragment, so their
+// input and inferred counts must agree; the run exits 1 on any row where
+// they differ.
+//
 // Paper shape to check (EXPERIMENTS.md): Slider wins on every chain with
 // the gain shrinking as n grows; ρdf gains exceed RDFS gains; wordnet's
 // ρdf row infers 0 and is skipped ("-" in Table 1); wikipedia-RDFS is the
@@ -28,6 +32,24 @@
 
 using namespace slider;
 using namespace slider::bench;
+
+namespace {
+
+/// True iff both engines report the same input and inferred counts;
+/// otherwise reports the row on stderr.
+bool CountsAgree(const std::string& row, const char* fragment,
+                 const EngineRun& base, const EngineRun& slider) {
+  if (base.input == slider.input && base.inferred == slider.inferred) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "%s %s: baseline input/inferred %zu/%zu != slider %zu/%zu\n",
+               row.c_str(), fragment, base.input, base.inferred, slider.input,
+               slider.inferred);
+  return false;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<OntologySpec> specs;
@@ -60,6 +82,7 @@ int main(int argc, char** argv) {
   // paper's small-chain rows measured JVM+repository start-up.
   double rhodf_macro_sum = 0, rdfs_macro_sum = 0;
   size_t rhodf_macro_rows = 0, rdfs_macro_rows = 0;
+  bool counts_agree = true;
 
   for (const OntologySpec& spec : specs) {
     const std::string doc = Corpus::GenerateNTriples(spec);
@@ -74,6 +97,8 @@ int main(int argc, char** argv) {
         MedianRun(doc, [&] { return RunBaseline(doc, RdfsFactory()); });
     const EngineRun rdfs_slider = MedianRun(
         doc, [&] { return RunSlider(doc, RdfsFactory(), BenchSliderOptions()); });
+    counts_agree &= CountsAgree(spec.name, "rho-df", rhodf_base, rhodf_slider);
+    counts_agree &= CountsAgree(spec.name, "RDFS", rdfs_base, rdfs_slider);
 
     // Table 1 marks wordnet's ρdf columns "-": nothing is inferred.
     const bool rhodf_silent = rhodf_base.inferred == 0;
@@ -128,5 +153,5 @@ int main(int argc, char** argv) {
                   rhodf_macro, rdfs_macro, (rhodf_macro + rdfs_macro) / 2);
     }
   }
-  return 0;
+  return counts_agree ? 0 : 1;
 }

@@ -31,9 +31,12 @@ Result<MaterializeStats> BatchReasoner::Materialize(const TripleVec& input) {
     }
     stats.derivations += produced.size();
     TripleVec next;
-    stats.inferred_new += store_->AddAll(produced, &next);
+    stats.inferred_new +=
+        store_->AddAll(produced, &next, /*is_explicit=*/false);
     if (log_ != nullptr) {
-      SLIDER_RETURN_NOT_OK(log_->AppendBatch(next));
+      for (const Triple& t : next) {
+        SLIDER_RETURN_NOT_OK(log_->Append(t, /*is_explicit=*/false));
+      }
     }
     delta = std::move(next);
   }

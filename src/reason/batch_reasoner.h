@@ -32,14 +32,18 @@ struct MaterializeStats {
 class BatchReasoner {
  public:
   /// `store` is borrowed and must outlive the reasoner. `log`, if non-null,
-  /// receives every distinct statement (the repository's durability path).
+  /// receives every distinct statement with its support flag (the
+  /// repository's durability path).
   BatchReasoner(Fragment fragment, TripleStore* store,
                 StatementLog* log = nullptr);
 
-  /// Inserts `input` and runs rules to fixpoint. May be called repeatedly;
-  /// each call continues from the current store contents (the *closure
-  /// maintenance* entry point — Repository models the full-recompute
-  /// behaviour of batch systems on top of this).
+  /// Inserts `input` with explicit support and runs rules to fixpoint;
+  /// consequences are stored and journaled as inferred. May be called
+  /// repeatedly; each call continues from the current store contents (the
+  /// *closure maintenance* entry point — Repository models the
+  /// full-recompute behaviour of batch systems on top of this). An input
+  /// already stored as inferred is promoted in the store but not
+  /// re-journaled; Repository never offers one.
   Result<MaterializeStats> Materialize(const TripleVec& input);
 
   /// Cumulative counters across all Materialize calls.

@@ -17,11 +17,6 @@ namespace slider {
 
 Result<std::unique_ptr<Repository>> Repository::Open(
     const FragmentFactory& factory, Options options) {
-  if (options.inference == InferenceMode::kIncremental ||
-      options.inference == InferenceMode::kOnDemand ||
-      options.inference == InferenceMode::kHybrid) {
-    options.recompute_on_update = false;  // nothing ever recomputes
-  }
   auto repo = std::unique_ptr<Repository>(new Repository());
   repo->options_ = std::move(options);
   repo->factory_ = factory;
@@ -41,17 +36,20 @@ Result<std::unique_ptr<Repository>> Repository::Open(
     if (journaled.ok()) journaled = repo->JournalTerm(id);
   });
   SLIDER_RETURN_NOT_OK(journaled);
-  if (repo->OnDemandMode() && !BackwardCoverable(*repo->fragment_)) {
-    // The chainer resolves goals through the rules' declared Horn clauses;
-    // a rule without clauses would make on-demand answers diverge from the
-    // closure for its head shapes.
-    return Status::InvalidArgument(
-        Format("inference mode kOnDemand/kHybrid requires a backward-"
-               "coverable fragment (every rule declaring goal clauses); "
-               "'%s' has rules without them",
-               repo->fragment_->name().c_str()));
-  }
+  SLIDER_RETURN_NOT_OK(repo->CheckBackwardCoverable());
   return repo;
+}
+
+Status Repository::CheckBackwardCoverable() const {
+  if (!OnDemandMode() || BackwardCoverable(*fragment_)) return Status::OK();
+  // The chainer resolves goals through the rules' declared Horn clauses; a
+  // rule without clauses would make on-demand answers diverge from the
+  // closure for its head shapes.
+  return Status::InvalidArgument(
+      Format("inference mode kOnDemand/kHybrid requires a backward-"
+             "coverable fragment (every rule declaring goal clauses); "
+             "'%s' has rules without them",
+             fragment_->name().c_str()));
 }
 
 void Repository::ResetEngine() {
@@ -191,9 +189,10 @@ Result<MaterializeStats> Repository::ApplyOnDemand(const TripleVec& input) {
   stats.input_count = input.size();
   TripleVec delta;
   store_->AddAll(input, &delta, /*is_explicit=*/true);
-  // AddTriples already dedupped `input` against the explicit set, so every
-  // statement here is newly explicit — including the ones AddAll merely
-  // *promoted* (already present as kHybrid schema-closure inferences).
+  // AddTriples already dedupped `input` against the store's explicit rows,
+  // so every statement here is newly explicit — including the ones AddAll
+  // merely *promoted* (already present as kHybrid schema-closure
+  // inferences).
   stats.input_new = input.size();
   // Journaling is unchanged: explicit additions append directly (there is
   // no engine to do it), tombstones are handled by RemoveTriples. Append
@@ -241,14 +240,64 @@ Result<MaterializeStats> Repository::RunInference(const TripleVec& input) {
   return trree_->Materialize(input);
 }
 
-TripleVec Repository::SortedExplicit(const TripleSet& except) const {
-  TripleVec out;
-  out.reserve(explicit_set_.size());
-  for (const Triple& t : explicit_set_) {
-    if (except.count(t) == 0) out.push_back(t);
+Result<MaterializeStats> Repository::Recompute(const TripleVec& added,
+                                               const TripleSet& removed) {
+  TripleVec input = added;
+  input.reserve(added.size() + store_->ExplicitCount());
+  store_->GetExplicitView().ForEachMatch(
+      TriplePattern{kAnyTerm, kAnyTerm, kAnyTerm}, [&](const Triple& t) {
+        if (removed.count(t) == 0) input.push_back(t);
+      });
+  std::sort(input.begin(), input.end());
+  std::unique_ptr<TripleStore> old_store = std::move(store_);
+  store_ = std::make_unique<TripleStore>();
+  ResetEngine();
+  const auto rollback = [&] {
+    store_ = std::move(old_store);
+    ResetEngine();
+  };
+  Result<MaterializeStats> materialized = RunInference(input);
+  if (!materialized.ok()) {
+    // Only a failing log append fails a run. What it journaled re-asserts
+    // members of the old closure, or of `added`'s closure; a retry
+    // re-journals all of it.
+    rollback();
+    return materialized.status();
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  // Rules are monotone: without removals nothing is dropped or demoted.
+  if (log_ == nullptr || removed.empty()) return materialized;
+  // The new closure is journaled already; tombstone what it dropped, and
+  // re-journal a demoted statement (explicit before, inferred now) as
+  // inferred after its tombstone — an inferred record alone never demotes.
+  TripleVec dropped;
+  TripleVec demoted;
+  {
+    const StoreView before = old_store->GetView();
+    const StoreView after = store_->GetView();
+    before.ForEachMatch(
+        TriplePattern{kAnyTerm, kAnyTerm, kAnyTerm}, [&](const Triple& t) {
+          if (!after.Contains(t)) {
+            dropped.push_back(t);
+          } else if (before.IsExplicit(t) && !after.IsExplicit(t)) {
+            dropped.push_back(t);
+            demoted.push_back(t);
+          }
+        });
+  }
+  Status logged = Status::OK();
+  for (const Triple& t : dropped) {
+    if (logged.ok()) logged = log_->AppendTombstone(t);
+  }
+  for (const Triple& t : demoted) {
+    if (logged.ok()) logged = log_->Append(t, /*is_explicit=*/false);
+  }
+  if (!logged.ok()) {
+    // A retry re-runs the recompute and re-journals the closure and the
+    // diff, after which an ordered replay converges again.
+    rollback();
+    return logged;
+  }
+  return materialized;
 }
 
 const Fragment& Repository::fragment() const {
@@ -323,19 +372,22 @@ Result<Repository::LoadStats> Repository::AddTriples(const TripleVec& triples) {
   // use them: rules never mint terms, and Open journaled the vocabulary
   // and rule constants.
   SLIDER_RETURN_NOT_OK(JournalTerms(triples));
+  // First occurrences of the statements not yet explicit, in input order.
   TripleVec fresh;
   fresh.reserve(triples.size());
-  for (const Triple& t : triples) {
-    if (explicit_set_.insert(t).second) fresh.push_back(t);
+  {
+    TripleSet batch;
+    const StoreView view = store_->GetView();
+    for (const Triple& t : triples) {
+      if (!view.IsExplicit(t) && batch.insert(t).second) fresh.push_back(t);
+    }
   }
 
   LoadStats stats;
-  if (options_.recompute_on_update && store_->size() != 0) {
+  if (BatchMode() && store_->size() != 0) {
     // Batch semantics: new data restarts inference from the start over the
     // full explicit statement set.
-    store_ = std::make_unique<TripleStore>();
-    ResetEngine();
-    SLIDER_ASSIGN_OR_RETURN(stats.materialize, RunInference(SortedExplicit()));
+    SLIDER_ASSIGN_OR_RETURN(stats.materialize, Recompute(fresh, {}));
   } else {
     SLIDER_ASSIGN_OR_RETURN(stats.materialize, RunInference(fresh));
   }
@@ -349,8 +401,11 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
   // Plan the removal without mutating any member state, so a failed
   // recompute leaves the repository consistent and the call retryable.
   TripleSet removed;
-  for (const Triple& t : triples) {
-    if (explicit_set_.count(t) > 0) removed.insert(t);
+  {
+    const StoreView view = store_->GetView();
+    for (const Triple& t : triples) {
+      if (view.IsExplicit(t)) removed.insert(t);
+    }
   }
   if (removed.empty()) {
     stats.seconds = watch.ElapsedSeconds();
@@ -373,7 +428,6 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
         if (!logged.ok()) break;
       }
     }
-    for (const Triple& t : victims) explicit_set_.erase(t);
     if (options_.inference == InferenceMode::kHybrid &&
         SchemaClosureStale(erased)) {
       RefreshSchemaClosure();
@@ -393,12 +447,9 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     TripleVec victims(removed.begin(), removed.end());
     const uint64_t deriv_before = slider_->total_derivations();
     const Reasoner::RetractStats retract = slider_->Retract(victims);
-    // The store mutation is already applied; erase the victims from the
-    // explicit set unconditionally, and only then surface a log failure
-    // (durability degraded, in-memory state still consistent).
-    const Status logged = slider_->log_status();
-    for (const Triple& t : victims) explicit_set_.erase(t);
-    SLIDER_RETURN_NOT_OK(logged);
+    // The store mutation is already applied: a log failure degrades
+    // durability, the in-memory state stays consistent.
+    SLIDER_RETURN_NOT_OK(slider_->log_status());
     stats.removed = retract.retracted;
     stats.materialize.input_count = victims.size();
     stats.materialize.rounds = retract.delete_rounds;
@@ -412,43 +463,8 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     return stats;
   }
   // Batch semantics, deletions included: wipe and re-materialise from the
-  // surviving explicit statements. The old store is kept alive until the
-  // recompute succeeds: on failure it is restored wholesale (the partial
-  // records the failed run may have logged are all members of the old
-  // closure, so an ordered replay is unaffected). The inference core
-  // re-logs the new closure; the tombstones for everything the recompute
-  // dropped follow it, which an ordered replay applies correctly because no
-  // dropped statement appears among the re-logged records.
-  const TripleSet old_closure = store_->SnapshotSet();
-  std::unique_ptr<TripleStore> old_store = std::move(store_);
-  store_ = std::make_unique<TripleStore>();
-  ResetEngine();
-  const auto rollback = [&] {
-    store_ = std::move(old_store);
-    ResetEngine();
-  };
-  Result<MaterializeStats> materialized =
-      RunInference(SortedExplicit(removed));
-  if (!materialized.ok()) {
-    rollback();
-    return materialized.status();
-  }
-  stats.materialize = *materialized;
-  if (log_ != nullptr) {
-    for (const Triple& t : old_closure) {
-      if (!store_->Contains(t)) {
-        const Status appended = log_->AppendTombstone(t);
-        if (!appended.ok()) {
-          // Roll back before the explicit set is touched: a retry re-runs
-          // the recompute and re-appends the full closure + tombstone
-          // sequence, after which an ordered replay converges again.
-          rollback();
-          return appended;
-        }
-      }
-    }
-  }
-  for (const Triple& t : removed) explicit_set_.erase(t);
+  // surviving explicit statements.
+  SLIDER_ASSIGN_OR_RETURN(stats.materialize, Recompute({}, removed));
   stats.removed = removed.size();
   stats.seconds = watch.ElapsedSeconds();
   return stats;
@@ -519,20 +535,6 @@ Result<UpdateResult> Repository::ExecuteUpdate(const UpdateRequest& request) {
       }
     }
   }
-  // Opportunistic maintenance at the update boundary: once enough history
-  // accumulated and retractions left cancellable add/tombstone pairs,
-  // compact the log in the background of the request (best-effort — the
-  // update itself already succeeded, so a compaction failure only warns).
-  if (log_ != nullptr && options_.compact_log_interval > 0 &&
-      snapshot_lsn_ <= log_->base_lsn() &&
-      log_->tombstones_written() > tombstones_at_last_compact_ &&
-      log_->next_lsn() - log_->base_lsn() >= options_.compact_log_interval) {
-    const Status compacted = CompactLog();
-    if (!compacted.ok()) {
-      SLIDER_LOG(kWarning) << "statement log compaction failed: "
-                           << compacted.ToString();
-    }
-  }
   result.seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -585,20 +587,13 @@ Status Repository::CompactLog() {
         "anchor; run a truncating Checkpoint first");
   }
   SLIDER_RETURN_NOT_OK(log_->Flush());
-  SLIDER_RETURN_NOT_OK(log_->Compact());
-  tombstones_at_last_compact_ = log_->tombstones_written();
-  return Status::OK();
+  return log_->Compact();
 }
 
 Result<std::unique_ptr<Repository>> Repository::Recover(
     const FragmentFactory& factory, Options options) {
   if (options.storage_dir.empty()) {
     return Status::InvalidArgument("Recover requires a storage_dir");
-  }
-  if (options.inference == InferenceMode::kIncremental ||
-      options.inference == InferenceMode::kOnDemand ||
-      options.inference == InferenceMode::kHybrid) {
-    options.recompute_on_update = false;
   }
   SLIDER_ASSIGN_OR_RETURN(
       const StatementLog::Contents log,
@@ -690,20 +685,6 @@ Result<std::unique_ptr<Repository>> Repository::Replay(
       repo->store_->Add(r.triple, /*is_explicit=*/!r.inferred);
     }
   }
-  // Explicit bookkeeping from the store's support flags. The batch modes
-  // log every statement explicit, so for them the recovered closure is
-  // conservatively explicit, while flag-carrying histories (kIncremental,
-  // the on-demand modes) get their real explicit set back.
-  repo->store_->ExportForSnapshot(
-      [&](TermId p, const std::vector<TripleStore::SnapshotRow>& rows) {
-        for (const TripleStore::SnapshotRow& row : rows) {
-          for (const auto& [o, flags] : row.objects) {
-            if ((flags & LfRow::kExplicitBit) != 0) {
-              repo->explicit_set_.emplace(row.subject, p, o);
-            }
-          }
-        }
-      });
   // Reopen the log for appending (never truncating: the snapshot plus the
   // records just replayed are the store), so a recovered repository keeps
   // journaling — updates after a Recover survive the next Recover too.
@@ -713,20 +694,16 @@ Result<std::unique_ptr<Repository>> Repository::Replay(
   // ResetEngine also rebuilds the kHybrid schema closure — derived state
   // neither the log nor the snapshot substitutes for.
   repo->ResetEngine();
-  if (repo->OnDemandMode() && !BackwardCoverable(*repo->fragment_)) {
-    return Status::InvalidArgument(
-        Format("inference mode kOnDemand/kHybrid requires a backward-"
-               "coverable fragment (every rule declaring goal clauses); "
-               "'%s' has rules without them",
-               repo->fragment_->name().c_str()));
-  }
+  SLIDER_RETURN_NOT_OK(repo->CheckBackwardCoverable());
   return repo;
 }
 
+size_t Repository::explicit_count() const { return store_->ExplicitCount(); }
+
 size_t Repository::inferred_count() const {
-  return store_->size() >= explicit_set_.size()
-             ? store_->size() - explicit_set_.size()
-             : 0;
+  const size_t total = store_->size();
+  const size_t asserted = store_->ExplicitCount();
+  return total >= asserted ? total - asserted : 0;
 }
 
 }  // namespace slider

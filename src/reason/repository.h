@@ -33,11 +33,18 @@ namespace slider {
 ///    alone rebuilds the repository; Checkpoint persists a snapshot image
 ///    pair so it can be reopened from disk (Recover) in time proportional
 ///    to the *state*, not the *history*;
-///  - batch update semantics: by default, adding statements to a loaded
-///    repository recomputes the closure from scratch over all explicit
-///    statements — the "batch processing [systems] ... initiate the
-///    reasoning process from the start" drawback the paper's introduction
-///    targets, measured by bench_incremental.
+///  - batch update semantics: in the two batch modes, adding statements to
+///    a loaded repository (or removing some) recomputes the closure from
+///    scratch over all explicit statements — the "batch processing
+///    [systems] ... initiate the reasoning process from the start" drawback
+///    the paper's introduction targets, measured by bench_incremental.
+///
+/// Explicit standing has one record in every mode: the store's per-triple
+/// support flag. Every core stores and journals what the application
+/// asserts as explicit and what its rules derive as inferred, so the
+/// explicit/inferred counts, the dedup of AddTriples, the victims of
+/// RemoveTriples and the batch recompute input all read the store, and
+/// Recover restores them with the flags.
 ///
 /// ## Checkpoint lifecycle and on-disk layout
 ///
@@ -128,16 +135,9 @@ class Repository {
     std::string storage_dir;
     /// Statements between flushes of the statement log.
     size_t log_flush_interval = 10000;
-    /// If true (the default, faithful to batch systems), AddTriples wipes
-    /// the store and re-materialises from all explicit statements; if
-    /// false, additions are folded in incrementally. Deletions are accepted
-    /// in both modes (RemoveTriples) but pay a full recompute: the
-    /// set-oriented batch cores have no retraction path, which is exactly
-    /// the baseline asymmetry bench_incremental measures against
-    /// Reasoner::Retract. Ignored (forced false) under kIncremental, whose
-    /// engine never recomputes, and under kOnDemand/kHybrid, which have
-    /// nothing to recompute.
-    bool recompute_on_update = true;
+    /// The batch modes (kStatementAtATime, kSemiNaive) recompute the
+    /// closure on every update of a loaded repository; the others maintain
+    /// it (kIncremental) or have none to maintain (kOnDemand, kHybrid).
     InferenceMode inference = InferenceMode::kStatementAtATime;
     /// Engine tunables for kIncremental (buffer size, timeout, threads).
     ReasonerOptions incremental;
@@ -147,11 +147,6 @@ class Repository {
     /// snapshot and expect the full-replay fallback to reconstruct
     /// everything.
     bool truncate_log_on_checkpoint = true;
-    /// If nonzero, ExecuteUpdate triggers CompactLog at an update boundary
-    /// once the log holds at least this many records above its base and
-    /// new tombstones were appended since the last compaction. 0 = manual
-    /// compaction only.
-    uint64_t compact_log_interval = 0;
   };
 
   /// Statistics of one Load/AddTriples/RemoveTriples call.
@@ -171,23 +166,24 @@ class Repository {
   /// OWLIM-SE ("the running times include both parsing and inferencing").
   Result<LoadStats> Load(std::string_view ntriples_document);
 
-  /// Adds already-encoded statements. Under the default batch semantics the
-  /// whole closure is recomputed from scratch. Every id must be bound in
+  /// Adds already-encoded statements; those already explicit are skipped.
+  /// Under the batch modes the whole closure is recomputed from scratch
+  /// once the store is non-empty. Every id must be bound in
   /// dictionary(): with storage on, each term is journaled the first time
   /// a statement uses it.
   Result<LoadStats> AddTriples(const TripleVec& triples);
 
-  /// Removes explicit statements. Under the batch modes the closure is
-  /// re-materialised from the surviving explicit set — the batch systems'
-  /// "initiate the reasoning process from the start" update drawback, now
-  /// measurable for deletions too. Under kIncremental the embedded engine
-  /// runs DRed (demote → over-delete the cone → rederive survivors)
-  /// instead; there and under kOnDemand/kHybrid, the explicit bookkeeping
-  /// costs O(|triples|). Statements the repository never loaded are
-  /// ignored. Either way, tombstone records for everything dropped are
-  /// appended to the statement log, so Recover's ordered replay converges
-  /// on the new closure even though earlier log records still assert the
-  /// old one.
+  /// Removes explicit statements: the members of `triples` the store holds
+  /// with explicit support (one probe each); the rest are ignored. Under
+  /// the batch modes the closure is re-materialised from the surviving
+  /// explicit statements — the batch systems' "initiate the reasoning
+  /// process from the start" update drawback, measurable for deletions
+  /// too. Under kIncremental the embedded engine runs DRed (demote →
+  /// over-delete the cone → rederive survivors) instead, and under
+  /// kOnDemand/kHybrid the victims are simply erased. Either way,
+  /// tombstone records for everything dropped are appended to the
+  /// statement log, so Recover's ordered replay converges on the new
+  /// closure even though earlier log records still assert the old one.
   Result<LoadStats> RemoveTriples(const TripleVec& triples);
 
   /// Executes a parsed SPARQL Update request, operation by operation:
@@ -217,8 +213,7 @@ class Repository {
   /// triple, cancelling add/tombstone pairs outright when no snapshot
   /// precedes the log (see StatementLog::Compact). Only legal while every
   /// snapshot LSN is at or below the log's base — i.e. right after a
-  /// Checkpoint, or before the first one; called automatically from
-  /// ExecuteUpdate boundaries when Options::compact_log_interval is set.
+  /// Checkpoint, or before the first one.
   Status CompactLog();
 
   /// Rebuilds a repository from its storage directory. Prefers the
@@ -261,12 +256,12 @@ class Repository {
   /// only by the touched cone.
   uint64_t total_derivations() const;
 
-  /// Number of distinct statements inferred (non-explicit) so far.
+  /// Number of stored statements with inferred support only.
   size_t inferred_count() const;
 
-  /// Number of distinct explicit statements currently asserted: loaded
-  /// and not yet retracted. O(1).
-  size_t explicit_count() const { return explicit_set_.size(); }
+  /// Number of stored statements with explicit support: asserted and not
+  /// yet retracted (TripleStore::ExplicitCount, O(shards)).
+  size_t explicit_count() const;
 
  private:
   Repository() = default;
@@ -277,10 +272,20 @@ class Repository {
   /// Dispatches to the selected inference core.
   Result<MaterializeStats> RunInference(const TripleVec& input);
 
-  /// The batch baselines' recompute input: the explicit set minus
-  /// `except`, sorted by (s, p, o) so derivation counters never depend on
-  /// the hash set's history.
-  TripleVec SortedExplicit(const TripleSet& except = {}) const;
+  /// Batch modes: re-materialises the closure in a fresh store from the
+  /// explicit statements minus `removed` plus `added` (none of them
+  /// explicit yet), sorted by (s, p, o) so derivation counters never depend
+  /// on store layout. The core journals the new closure; the old store is
+  /// then walked for what it dropped or demoted. It is kept until both
+  /// succeed and restored on failure, so the call can be retried.
+  Result<MaterializeStats> Recompute(const TripleVec& added,
+                                     const TripleSet& removed);
+
+  /// True iff this repository runs one of the batch modes.
+  bool BatchMode() const {
+    return options_.inference == InferenceMode::kStatementAtATime ||
+           options_.inference == InferenceMode::kSemiNaive;
+  }
 
   /// True iff this repository runs one of the on-demand modes.
   bool OnDemandMode() const {
@@ -311,6 +316,10 @@ class Repository {
   /// On-demand AddTriples/RemoveTriples core: store mutation + direct
   /// journaling + schema refresh + table invalidation.
   Result<MaterializeStats> ApplyOnDemand(const TripleVec& input);
+
+  /// Open/Recover: kOnDemand/kHybrid need a fragment whose every rule
+  /// declares goal clauses (BackwardCoverable).
+  Status CheckBackwardCoverable() const;
 
   std::string LogPath() const;
   std::string SnapshotDictPath() const;
@@ -345,14 +354,10 @@ class Repository {
   std::unique_ptr<Fragment> fragment_;          // set iff kOnDemand/kHybrid
   std::unique_ptr<ForwardProvider> forward_provider_;  // materialized modes
   std::unique_ptr<HybridProvider> hybrid_provider_;    // on-demand modes
-  // The asserted explicit statements: the only explicit bookkeeping, so a
-  // retraction costs O(|victims|) here; see SortedExplicit for the batch use.
-  TripleSet explicit_set_;
   bool schema_meta_live_ = false;  // see ProbeSchemaMetaLive (kHybrid)
   uint64_t retired_derivations_ = 0;  // work of engines ResetEngine retired
   uint64_t snapshot_lsn_ = 0;  // LSN the last snapshot (written or recovered
                                // from) anchors at; guards log compaction
-  uint64_t tombstones_at_last_compact_ = 0;  // auto-compaction trigger state
   // Ids a Recover could rebind right now: journaled by a term record, or
   // held by the snapshot image once the log is truncated against it. A
   // bitset, not a watermark: concurrent parsers can bind ids out of order

@@ -12,34 +12,29 @@ Result<MaterializeStats> TrreeReasoner::Materialize(const TripleVec& input) {
   MaterializeStats stats;
   stats.input_count = input.size();
 
-  std::deque<Triple> worklist;
-  for (const Triple& t : input) {
-    if (seen_.insert(t).second) {
-      worklist.push_back(t);
-    }
-  }
-  stats.input_new = worklist.size();
+  // The inputs lead the worklist, so the first input.size() pops are the
+  // inputs: stored and journaled as explicit, everything after as inferred.
+  std::deque<Triple> worklist(input.begin(), input.end());
+  for (const Triple& t : input) stats.input_new += seen_.insert(t).second;
 
   TripleVec single(1);
   TripleVec produced;
-  size_t processed_inputs = 0;
+  size_t inputs_left = input.size();
   while (!worklist.empty()) {
     const Triple t = worklist.front();
     worklist.pop_front();
+    const bool is_input = inputs_left > 0;
+    if (is_input) --inputs_left;
     // Statement-at-a-time: insert, then push this one statement through
     // every rule of the fragment.
-    if (!store_->Add(t)) {
-      continue;  // raced with an earlier duplicate
+    if (!store_->Add(t, is_input)) {
+      continue;  // already stored (an input may be promoted, see header)
     }
     if (log_ != nullptr) {
-      SLIDER_RETURN_NOT_OK(log_->Append(t));
+      SLIDER_RETURN_NOT_OK(log_->Append(t, is_input));
     }
     ++stats.rounds;  // = statements processed
-    if (processed_inputs < stats.input_new) {
-      ++processed_inputs;
-    } else {
-      ++stats.inferred_new;
-    }
+    if (!is_input) ++stats.inferred_new;
     single[0] = t;
     produced.clear();
     const StoreView view = store_->GetView();

@@ -31,12 +31,16 @@ namespace slider {
 class TrreeReasoner {
  public:
   /// `store` is borrowed. `log`, if non-null, receives every distinct
-  /// statement (repository durability path).
+  /// statement with its support flag (repository durability path).
   TrreeReasoner(Fragment fragment, TripleStore* store,
                 StatementLog* log = nullptr);
 
-  /// Inserts `input` and processes the worklist to exhaustion.
-  /// MaterializeStats::rounds counts processed statements here.
+  /// Inserts `input` with explicit support and processes the worklist to
+  /// exhaustion; consequences are stored and journaled as inferred. An
+  /// input already stored as inferred is promoted in the store but not
+  /// re-journaled (Repository's batch modes never offer one: each of their
+  /// recomputes starts from an empty store). MaterializeStats::rounds
+  /// counts processed statements here.
   Result<MaterializeStats> Materialize(const TripleVec& input);
 
   const MaterializeStats& cumulative_stats() const { return cumulative_; }

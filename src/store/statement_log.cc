@@ -192,9 +192,7 @@ Status StatementLog::Append(const Triple& t, bool is_explicit) {
 Status StatementLog::AppendTombstone(const Triple& t) {
   char record[kRecordSize];
   EncodeStatement(t, kTombstoneBit, record);
-  SLIDER_RETURN_NOT_OK(Write(record, kRecordSize));
-  ++tombstones_written_;
-  return Status::OK();
+  return Write(record, kRecordSize);
 }
 
 Status StatementLog::AppendTerm(TermId id, std::string_view term) {

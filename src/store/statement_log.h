@@ -162,10 +162,6 @@ class StatementLog {
   /// scheme as TruncateTo.
   Status Compact();
 
-  /// Number of tombstone records appended by this handle since Open
-  /// (compaction-trigger heuristic: no tombstones, nothing to cancel).
-  uint64_t tombstones_written() const { return tombstones_written_; }
-
   /// Reads every *addition* record of a previously written log, in append
   /// order; tombstone and term records are skipped.
   static Result<TripleVec> ReadAll(const std::string& path);
@@ -199,7 +195,6 @@ class StatementLog {
   uint64_t base_lsn_ = 0;        // header base
   uint64_t records_in_file_ = 0; // pre-existing + appended by this handle
   uint64_t records_written_ = 0;
-  uint64_t tombstones_written_ = 0;
   uint64_t unflushed_ = 0;
 };
 

@@ -2,7 +2,8 @@
 // the closure from the surviving explicit set (the batch baseline's update
 // drawback, deletions included), tombstone records make the statement log
 // replayable across retractions, and Recover converges on the
-// post-retraction closure — including for legacy logs without tombstones.
+// post-retraction closure and its explicit standing — including for logs
+// without tombstones.
 
 #include <gtest/gtest.h>
 
@@ -65,7 +66,7 @@ TEST(RepositoryRetractTest, RemovingUnknownStatementsIsANoOp) {
 
 TEST(RepositoryRetractTest, RemoveTriplesWorksInIncrementalMode) {
   Repository::Options options;
-  options.recompute_on_update = false;
+  options.inference = Repository::InferenceMode::kIncremental;
   auto repo = Repository::Open(RhoDfFactory(), options);
   ASSERT_TRUE(repo.ok());
   Dictionary* dict = (*repo)->dictionary();
@@ -77,8 +78,8 @@ TEST(RepositoryRetractTest, RemoveTriplesWorksInIncrementalMode) {
   ASSERT_TRUE((*repo)->AddTriples({{b, v.sub_class_of, c}}).ok());
   ASSERT_TRUE((*repo)->store().Contains({a, v.sub_class_of, c}));
 
-  // Deletions are accepted in incremental mode too, but pay the full
-  // recompute — the batch cores have no retraction path.
+  // The embedded engine retracts through DRed: the victim's cone goes,
+  // the surviving link stays.
   auto stats = (*repo)->RemoveTriples({{a, v.sub_class_of, b}});
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->materialize.input_count, 1u);
@@ -147,6 +148,43 @@ TEST(RepositoryRetractTest, RecoverReplaysRetractThenReAdd) {
   EXPECT_TRUE((*recovered)->store().Contains(victim));
 }
 
+TEST(RepositoryRetractTest, BatchRecoverKeepsADerivableVictimInferred) {
+  // Retracting an explicit statement the survivors still derive demotes it.
+  // The recompute journals it as inferred after a tombstone, so a recovered
+  // batch repository neither counts it as asserted nor keeps it once its
+  // support goes.
+  for (const auto mode : {Repository::InferenceMode::kStatementAtATime,
+                          Repository::InferenceMode::kSemiNaive}) {
+    const std::string dir = FreshDir("repo_retract_demote");
+    Repository::Options options;
+    options.storage_dir = dir;
+    options.inference = mode;
+    Triple shortcut, link;
+    {
+      auto repo = Repository::Open(RhoDfFactory(), options);
+      ASSERT_TRUE(repo.ok());
+      Dictionary* dict = (*repo)->dictionary();
+      const Vocabulary& v = (*repo)->vocabulary();
+      const TermId a = dict->Encode("<http://ex/A>");
+      const TermId b = dict->Encode("<http://ex/B>");
+      const TermId c = dict->Encode("<http://ex/C>");
+      shortcut = {a, v.sub_class_of, c};
+      link = {a, v.sub_class_of, b};
+      ASSERT_TRUE(
+          (*repo)->AddTriples({link, {b, v.sub_class_of, c}, shortcut}).ok());
+      ASSERT_TRUE((*repo)->RemoveTriples({shortcut}).ok());
+      ASSERT_TRUE((*repo)->store().Contains(shortcut));
+      ASSERT_FALSE((*repo)->store().IsExplicit(shortcut));
+    }
+    auto recovered = Repository::Recover(RhoDfFactory(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->explicit_count(), 2u);
+    EXPECT_FALSE((*recovered)->store().IsExplicit(shortcut));
+    ASSERT_TRUE((*recovered)->RemoveTriples({link}).ok());
+    EXPECT_FALSE((*recovered)->store().Contains(shortcut));
+  }
+}
+
 TEST(RepositoryRetractTest, RecoverHandlesLegacyLogWithoutTombstones) {
   // A repository that never deleted writes a log indistinguishable from the
   // pre-tombstone format; Recover must replay it as pure additions.
@@ -158,7 +196,8 @@ TEST(RepositoryRetractTest, RecoverHandlesLegacyLogWithoutTombstones) {
     ASSERT_TRUE(repo.ok());
     ASSERT_TRUE((*repo)->Load(ChainGenerator::GenerateNTriples(10)).ok());
     ASSERT_TRUE((*repo)->Checkpoint().ok());
-    // Every record is an addition: the subject word carries no flag bit.
+    // Every record is an addition: no tombstone bit on the subject word
+    // (inferred records carry only the inferred bit).
     auto records = StatementLog::ReadRecords(dir + "/statements.log");
     ASSERT_TRUE(records.ok());
     for (const StatementLog::Record& r : *records) {

@@ -61,7 +61,7 @@ TEST(RepositoryTest, BatchSemanticsRecomputeFromScratch) {
 
 TEST(RepositoryTest, IncrementalModeFoldsUpdatesIn) {
   Repository::Options options;
-  options.recompute_on_update = false;
+  options.inference = Repository::InferenceMode::kIncremental;
   auto repo = Repository::Open(RhoDfFactory(), options);
   ASSERT_TRUE(repo.ok());
   Dictionary* dict = (*repo)->dictionary();

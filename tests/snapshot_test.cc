@@ -146,11 +146,10 @@ TEST(SnapshotTest, RecoverPrefersSnapshotAndReplaysTail) {
   auto recovered = Repository::Recover(RhoDfFactory(), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->store().SnapshotSet(), live_closure);
-  // The default batch core stores (and logs) the whole closure as
-  // explicit, so recovery's flag-derived bookkeeping is conservatively
-  // the closure itself — never less than what was asserted live.
-  EXPECT_GE((*recovered)->explicit_count(), live_explicit);
-  EXPECT_EQ((*recovered)->explicit_count(), live_closure.size());
+  // The batch core journals its input as explicit and its consequences as
+  // inferred, and the retracted link is not derivable, so recovery restores
+  // the live explicit standing exactly.
+  EXPECT_EQ((*recovered)->explicit_count(), live_explicit);
 }
 
 TEST(SnapshotTest, CorruptTripleImageFallsBackToFullReplay) {
