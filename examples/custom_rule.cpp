@@ -7,16 +7,16 @@
 //   PART-OF-TRANS: <a partOf b> ∧ <b partOf c> → <a partOf c>
 //   INV-CONTAINS:  <a partOf b> → <b contains a>
 //
+// A rule is data: its Horn clauses. The engine compiles them into the
+// forward delta join, the buffer filters, the rules dependency graph and
+// the retraction checks, so a custom rule needs no C++ beyond its clause.
 // A FragmentFactory receives the engine's vocabulary *and dictionary*, so
-// custom rules encode their own terms; the rules dependency graph, buffers
-// and distributors are then derived automatically from the rule signatures
-// — note in the printed graph how PART-OF-TRANS feeds both itself and
-// INV-CONTAINS.
+// custom rules encode their own terms — note in the printed graph how
+// PART-OF-TRANS feeds both itself and INV-CONTAINS.
 //
-// Run: ./examples/custom_rule
+// Run: ./examples/custom_rule (exits 1 if a printed fact is missing)
 
 #include <cstdio>
-#include <memory>
 
 #include "reason/reasoner.h"
 
@@ -24,63 +24,22 @@ using namespace slider;
 
 namespace {
 
-/// Transitivity over an arbitrary user property, written exactly like the
-/// built-in SCM-SCO module (Algorithm 1's two-direction delta join).
-class PartOfTransitivityRule : public RuleBase {
- public:
-  explicit PartOfTransitivityRule(TermId part_of)
-      : RuleBase("PART-OF-TRANS",
-                 "<a partOf b> ^ <b partOf c> -> <a partOf c>", {part_of},
-                 {part_of}),
-        part_of_(part_of) {}
-
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override {
-    for (const Triple& t : delta) {
-      if (t.p != part_of_) continue;
-      store.ForEachObject(part_of_, t.o, [&](TermId c) {
-        out->push_back(Triple(t.s, part_of_, c));
-      });
-      store.ForEachSubject(part_of_, t.s, [&](TermId a) {
-        out->push_back(Triple(a, part_of_, t.o));
-      });
-    }
-  }
-
- private:
-  TermId part_of_;
-};
-
-/// Inverse materialisation: single-antecedent, no store join needed.
-class InverseContainsRule : public RuleBase {
- public:
-  InverseContainsRule(TermId part_of, TermId contains)
-      : RuleBase("INV-CONTAINS", "<a partOf b> -> <b contains a>", {part_of},
-                 {contains}),
-        part_of_(part_of),
-        contains_(contains) {}
-
-  void Apply(const TripleVec& delta, const StoreView& /*store*/,
-             TripleVec* out) const override {
-    for (const Triple& t : delta) {
-      if (t.p == part_of_) {
-        out->push_back(Triple(t.o, contains_, t.s));
-      }
-    }
-  }
-
- private:
-  TermId part_of_;
-  TermId contains_;
-};
-
 /// The custom fragment: stock ρdf plus the two mereology rules.
 Fragment Mereology(const Vocabulary& v, Dictionary* dict) {
   Fragment f = Fragment::RhoDf(v);
-  const TermId part_of = dict->Encode("<http://mereo/partOf>");
-  const TermId contains = dict->Encode("<http://mereo/contains>");
-  f.AddRule(std::make_shared<PartOfTransitivityRule>(part_of));
-  f.AddRule(std::make_shared<InverseContainsRule>(part_of, contains));
+  const GoalTerm part_of =
+      GoalTerm::Const(dict->Encode("<http://mereo/partOf>"));
+  const GoalTerm contains =
+      GoalTerm::Const(dict->Encode("<http://mereo/contains>"));
+  const GoalTerm a = GoalTerm::Var(0), b = GoalTerm::Var(1),
+                 c = GoalTerm::Var(2);
+  // Transitivity over a user property, the same clause shape as SCM-SCO.
+  f.AddRule(MakeRule("PART-OF-TRANS",
+                     "<a partOf b> ^ <b partOf c> -> <a partOf c>",
+                     {{{a, part_of, c}, {{a, part_of, b}, {b, part_of, c}}}}));
+  // Inverse materialisation: a one-atom body, no store join needed.
+  f.AddRule(MakeRule("INV-CONTAINS", "<a partOf b> -> <b contains a>",
+                     {{{b, contains, a}, {{a, part_of, b}}}}));
   return f;
 }
 
@@ -107,10 +66,10 @@ int main() {
                        {chassis, part_of, car}});
   reasoner.Flush();
 
-  std::printf("wheel partOf car (transitive): %s\n",
-              reasoner.store().Contains({wheel, part_of, car}) ? "yes" : "no");
-  std::printf("car contains wheel (inverse):  %s\n",
-              reasoner.store().Contains({car, contains, wheel}) ? "yes" : "no");
+  const bool transitive = reasoner.store().Contains({wheel, part_of, car});
+  const bool inverse = reasoner.store().Contains({car, contains, wheel});
+  std::printf("wheel partOf car (transitive): %s\n", transitive ? "yes" : "no");
+  std::printf("car contains wheel (inverse):  %s\n", inverse ? "yes" : "no");
   std::printf("inferred: %zu triples from 3 explicit ones\n",
               reasoner.inferred_count());
 
@@ -119,10 +78,9 @@ int main() {
   const TermId component = dict->Encode("<http://mereo/Component>");
   reasoner.AddTriple({part_of, reasoner.vocabulary().domain, component});
   reasoner.Flush();
+  const bool typed = reasoner.store().Contains(
+      {wheel, reasoner.vocabulary().type, component});
   std::printf("wheel typed as Component via PRP-DOM: %s\n",
-              reasoner.store().Contains(
-                  {wheel, reasoner.vocabulary().type, component})
-                  ? "yes"
-                  : "no");
-  return 0;
+              typed ? "yes" : "no");
+  return transitive && inverse && typed ? 0 : 1;
 }

@@ -158,7 +158,6 @@ class SldResolver {
     }
     std::vector<GoalClause> instances;
     for (const RulePtr& rule : rules_) {
-      if (!rule->SupportsBackward()) continue;
       rule->ExpandGoal(pattern, &instances);
     }
     for (const GoalClause& inst : instances) {
@@ -376,7 +375,7 @@ BackwardChainer::BackwardChainer(const TripleStore* store, const Vocabulary& v,
                                  std::vector<RulePtr> rules)
     : store_(store), v_(v), rules_(std::move(rules)) {
   for (const RulePtr& rule : rules_) {
-    if (rule->SupportsBackward() && !IsRhoDfName(rule->name())) {
+    if (!IsRhoDfName(rule->name())) {
       extension_rules_.push_back(rule.get());
     }
   }

@@ -17,11 +17,10 @@ namespace slider {
 /// This is the approach Slider argues against (§1): instead of
 /// materialising the closure up-front, each query pattern is resolved
 /// through the rules *at query time* over the raw (non-materialised)
-/// store. The engine is generic: it consumes the Horn clauses every rule
-/// exposes through Rule::ExpandGoal (reason/rule.h) — the same per-rule
-/// declarations that power the DRed rederivation check — so any fragment
-/// whose rules declare clauses (all fifteen shipped rules do) is answered
-/// without chainer changes.
+/// store. The engine is generic: it consumes the Horn clauses that define
+/// every rule, through Rule::ExpandGoal (reason/rule.h) — the same clauses
+/// the forward join and the DRed rederivation check compile from — so any
+/// fragment is answered without chainer changes.
 ///
 /// Resolution strategy, per top-level Match call:
 ///  - every subgoal (a triple pattern) is *tabled*: its answers accumulate
@@ -63,10 +62,7 @@ class BackwardChainer : public MatchProvider {
   /// the historical default.
   BackwardChainer(const TripleStore* store, const Vocabulary& v);
 
-  /// Chains over an explicit rule set; rules without clause declarations
-  /// (SupportsBackward() == false) contribute no answers and make the
-  /// chainer incomplete for their heads — gate with
-  /// BackwardCoverable / BackwardCapability (query/hybrid.h).
+  /// Chains over an explicit rule set.
   BackwardChainer(const TripleStore* store, const Vocabulary& v,
                   std::vector<RulePtr> rules);
 

@@ -29,24 +29,6 @@ void ResetEnv(TermId* env) {
 
 }  // namespace
 
-bool BackwardCoverable(const Fragment& fragment) {
-  for (const RulePtr& rule : fragment.rules()) {
-    if (!rule->SupportsBackward()) return false;
-  }
-  return true;
-}
-
-BackwardCapability::BackwardCapability(const std::vector<RulePtr>& rules) {
-  for (const RulePtr& rule : rules) {
-    if (rule->SupportsBackward()) continue;
-    if (rule->OutputsAnyPredicate()) {
-      uncovered_any_ = true;
-      continue;
-    }
-    for (const TermId p : rule->OutputPredicates()) uncovered_.insert(p);
-  }
-}
-
 RuleSetAnalysis AnalyzeRuleSet(const std::vector<RulePtr>& rules,
                                const Vocabulary& v) {
   RuleSetAnalysis out;
@@ -67,7 +49,7 @@ RuleSetAnalysis AnalyzeRuleSet(const std::vector<RulePtr>& rules,
            p == v.range;
   };
   for (const RulePtr& rule : rules) {
-    for (const GoalClause& clause : rule->BackwardClauses()) {
+    for (const GoalClause& clause : rule->clauses()) {
       if (clause.head.p.IsVar()) out.var_head_rules = true;
       // Variable slots used in predicate position anywhere in the clause:
       // an edge binding two of them relates one predicate's data to
@@ -118,7 +100,6 @@ HybridProvider::HybridProvider(const TripleStore* store, const Vocabulary& v,
       v_(v),
       options_(options),
       chainer_(store, v, rules),
-      capability_(rules),
       analysis_(AnalyzeRuleSet(rules, v)),
       tables_(options.table_capacity, options.table_max_rows) {}
 
@@ -145,7 +126,6 @@ bool HybridProvider::ForwardComplete(TermId p) const {
   const TriplePattern goal{kAnyTerm, p, kAnyTerm};
   std::vector<GoalClause> instances;
   for (const RulePtr& rule : chainer_.rules()) {
-    if (!rule->SupportsBackward()) continue;  // uncovered heads pin forward
     rule->ExpandGoal(goal, &instances);
   }
   const StoreView view = store_->GetView();
@@ -190,7 +170,6 @@ bool HybridProvider::ForwardComplete(TermId p) const {
 }
 
 HybridProvider::Route HybridProvider::DecideRoute(TermId p) const {
-  if (!capability_.Covers(p)) return Route::kForward;  // chainer under-answers
   if (!ForwardComplete(p)) return Route::kBackward;
   // Both routes are complete: estimated materialized rows touched vs the
   // chainer's estimated expansion fan-out, over the whole partition (the

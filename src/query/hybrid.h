@@ -5,64 +5,15 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "query/backward.h"
 #include "query/evaluator.h"
 #include "query/tabling.h"
 #include "rdf/vocabulary.h"
-#include "reason/fragment.h"
 #include "store/triple_store.h"
 
 namespace slider {
-
-/// True iff the BackwardChainer is a sound and complete evaluator for
-/// `fragment`: every rule declares its Horn clauses
-/// (Rule::SupportsBackward). The chainer resolves goals through exactly
-/// the rules it is given, so — unlike the old name-list gate that pinned
-/// coverage to the eight ρdf rules — any fragment of clause-declaring
-/// rules qualifies: ρdf, RDFS, the shipped OWL extension, and custom
-/// fragments alike.
-bool BackwardCoverable(const Fragment& fragment);
-
-/// \brief Per-pattern backward-answerability over a rule set.
-///
-/// The chainer under-answers exactly the head shapes of rules that
-/// declare no clauses (SupportsBackward() == false): any pattern such a
-/// rule could produce may be missing derived answers. This class folds
-/// the rule set's head declarations into a per-predicate verdict:
-///
-///   Covers(p) — true iff no clause-less rule can emit predicate p
-///               (a clause-less rule with OutputsAnyPredicate() covers
-///               nothing; kAnyTerm asks about every predicate at once).
-///
-/// All fifteen shipped rules declare clauses, so shipped fragments cover
-/// everything; the model exists for fragments mixing in custom rules
-/// without clauses, where the HybridProvider must pin the affected
-/// patterns to the forward route (sound only over a materialized store —
-/// which is why Repository::Open still requires full coverage for the
-/// on-demand modes).
-class BackwardCapability {
- public:
-  BackwardCapability() = default;
-  explicit BackwardCapability(const std::vector<RulePtr>& rules);
-
-  bool Covers(TermId predicate) const {
-    if (uncovered_any_ ) return false;
-    if (predicate == kAnyTerm) return uncovered_.empty();
-    return uncovered_.count(predicate) == 0;
-  }
-  bool Covers(const TriplePattern& pattern) const {
-    return Covers(pattern.p);
-  }
-  /// True iff every rule declares clauses (Covers(p) for all p).
-  bool CoversAll() const { return uncovered_.empty() && !uncovered_any_; }
-
- private:
-  bool uncovered_any_ = false;          ///< clause-less rule emits any predicate
-  std::unordered_set<TermId> uncovered_;  ///< clause-less rules' output predicates
-};
 
 /// \brief Clause-derived delta classification, shared by the provider's
 /// tabling invalidation and the repository's schema-closure triggers.
@@ -125,17 +76,10 @@ RuleSetAnalysis AnalyzeRuleSet(const std::vector<RulePtr>& rules,
 ///              store), memoized through a TablingCache so repeated
 ///              patterns cost a table scan.
 ///
-/// Routing runs three checks, in order (vlog's chooseMostEfficientAlgo
-/// shape: capability, then completeness, then cost):
+/// Routing runs two checks, in order (vlog's chooseMostEfficientAlgo
+/// shape: completeness, then cost):
 ///
-///  1. *Capability.* Per pattern, not per fragment: a pattern routes
-///     forward unconditionally only when some clause-less rule could
-///     produce its head shape (BackwardCapability::Covers == false) — the
-///     chainer would under-answer it. With the shipped fragments (ρdf,
-///     RDFS, OWL extension — all rules declare clauses) nothing is ever
-///     rejected, which is what opens kOnDemand/kHybrid to the full
-///     fragments.
-///  2. *Completeness.* The forward route is only eligible when the store
+///  1. *Completeness.* The forward route is only eligible when the store
 ///     provably holds every answer for the pattern: always under
 ///     Options::fully_materialized; for schema patterns (subClassOf,
 ///     subPropertyOf, domain, range) under Options::schema_materialized
@@ -147,7 +91,7 @@ RuleSetAnalysis AnalyzeRuleSet(const std::vector<RulePtr>& rules,
 ///     RDFS6 emits). The probe subsumes the old "no subPropertyOf edge
 ///     points at p" check and extends it to inverse/symmetric/transitive
 ///     declarations and derived subPropertyOf edges.
-///  3. *Cost.* When both routes are complete, compare estimated rows
+///  2. *Cost.* When both routes are complete, compare estimated rows
 ///     touched — materialized partition size vs the chainer's expansion
 ///     estimate — each side calibrated by its measured per-row latency
 ///     EWMA (route_stats) once both routes have samples.
@@ -192,8 +136,7 @@ class HybridProvider : public MatchProvider {
     double backward_ms_per_row = 0.0;
   };
 
-  /// Chains over `rules` (the repository passes its fragment's rule set);
-  /// patterns outside BackwardCapability(rules) pin to the forward route.
+  /// Chains over `rules` (the repository passes its fragment's rule set).
   HybridProvider(const TripleStore* store, const Vocabulary& v,
                  std::vector<RulePtr> rules, Options options);
   HybridProvider(const TripleStore* store, const Vocabulary& v,
@@ -228,7 +171,6 @@ class HybridProvider : public MatchProvider {
   void RecordRouteLatency(Route route, double millis, size_t rows) const;
 
   const TablingCache& tables() const { return tables_; }
-  const BackwardCapability& capability() const { return capability_; }
   const RuleSetAnalysis& analysis() const { return analysis_; }
   RouteStats route_stats() const;
 
@@ -254,7 +196,6 @@ class HybridProvider : public MatchProvider {
   Vocabulary v_;
   Options options_;
   BackwardChainer chainer_;
-  BackwardCapability capability_;
   RuleSetAnalysis analysis_;
   TablingCache tables_;
 

@@ -1,43 +1,6 @@
 #include "reason/fragment.h"
 
-#include <memory>
-
-#include "reason/rules_rdfs.h"
-#include "reason/rules_rhodf.h"
-
 namespace slider {
-
-Fragment Fragment::RhoDf(const Vocabulary& v) {
-  Fragment f("rhodf");
-  f.AddRule(std::make_shared<ScmScoRule>(v));
-  f.AddRule(std::make_shared<ScmSpoRule>(v));
-  f.AddRule(std::make_shared<CaxScoRule>(v));
-  f.AddRule(std::make_shared<PrpSpo1Rule>(v));
-  f.AddRule(std::make_shared<PrpDomRule>(v));
-  f.AddRule(std::make_shared<PrpRngRule>(v));
-  f.AddRule(std::make_shared<ScmDom2Rule>(v));
-  f.AddRule(std::make_shared<ScmRng2Rule>(v));
-  return f;
-}
-
-Fragment Fragment::Rdfs(const Vocabulary& v, bool include_rdfs4) {
-  Fragment f = RhoDf(v);
-  // Rebadge: same rule objects, larger fragment.
-  Fragment rdfs(include_rdfs4 ? "rdfs-full" : "rdfs");
-  for (const RulePtr& rule : f.rules()) {
-    rdfs.AddRule(rule);
-  }
-  rdfs.AddRule(TypeAxiomRule::Rdfs6(v));
-  rdfs.AddRule(TypeAxiomRule::Rdfs8(v));
-  rdfs.AddRule(TypeAxiomRule::Rdfs10(v));
-  rdfs.AddRule(TypeAxiomRule::Rdfs12(v));
-  rdfs.AddRule(TypeAxiomRule::Rdfs13(v));
-  if (include_rdfs4) {
-    rdfs.AddRule(std::make_shared<Rdfs4Rule>(v, Rdfs4Rule::Position::kSubject));
-    rdfs.AddRule(std::make_shared<Rdfs4Rule>(v, Rdfs4Rule::Position::kObject));
-  }
-  return rdfs;
-}
 
 FragmentFactory RhoDfFactory() {
   return [](const Vocabulary& v, Dictionary*) { return Fragment::RhoDf(v); };

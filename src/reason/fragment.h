@@ -13,21 +13,21 @@ namespace slider {
 ///
 /// Slider is fragment agnostic (§1, "Fragment's Customization"): ρdf and
 /// RDFS ship as factories, and applications can assemble their own fragment
-/// by registering custom Rule implementations — the dependency graph,
-/// buffers and distributors are derived automatically at reasoner
-/// initialisation.
+/// by adding rules built from their Horn clauses (MakeRule) — the
+/// dependency graph, buffers and distributors are derived automatically at
+/// reasoner initialisation.
 class Fragment {
  public:
   explicit Fragment(std::string name) : name_(std::move(name)) {}
 
   /// The ρdf fragment of Muñoz et al. — exactly the eight rules of the
-  /// paper's Figure 2.
+  /// paper's Figure 2 (clause table: rules_rhodf.cc).
   static Fragment RhoDf(const Vocabulary& v);
 
   /// The RDFS fragment: ρdf plus the RDFS-only axiom rules (RDFS6, RDFS8,
   /// RDFS10, RDFS12, RDFS13). `include_rdfs4` additionally enables the
   /// RDFS4a/4b "everything is a Resource" rules, which optimised rulesets
-  /// (incl. OWLIM's) suppress by default.
+  /// (incl. OWLIM's) suppress by default (clause table: rules_rdfs.cc).
   static Fragment Rdfs(const Vocabulary& v, bool include_rdfs4 = false);
 
   /// Appends a rule; order defines rule/module indices everywhere.

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/flat_hash.h"
 #include "common/logging.h"
 #include "rdf/ntriples.h"
 
@@ -101,12 +100,14 @@ void Reasoner::StoreAndRoute(const TripleVec& batch,
   // (its consequences are already materialised).
   TripleVec delta;
   delta.reserve(batch.size());
-  size_t promoted = 0;
+  TripleVec promoted;
   store_->AddAll(batch, &delta, /*is_explicit=*/is_input,
                 is_input ? &promoted : nullptr);
-  if (promoted != 0) {
-    explicit_count_.fetch_add(promoted);
-    inferred_count_.fetch_sub(promoted);
+  if (!promoted.empty()) {
+    // Journaled as explicit additions, which replay applies as promotions.
+    LogAdditions(promoted, /*is_explicit=*/true);
+    explicit_count_.fetch_add(promoted.size());
+    inferred_count_.fetch_sub(promoted.size());
   }
   if (delta.empty()) return;
   LogAdditions(delta, /*is_explicit=*/is_input);
@@ -235,38 +236,15 @@ Reasoner::RetractStats Reasoner::Retract(const TripleVec& batch) {
   if (round.empty()) return stats;
   explicit_count_.fetch_sub(round.size());
 
-  // Rederivation mechanisms, split per rule: modules with backward support
-  // (declared goal clauses driving Rule::CanDerive) power both the counting
-  // fast path below and phase 3's checked passes; the rest fall back to
-  // forward re-seeding in phase 3.
-  const size_t num_modules = modules_.size();
-  std::vector<int> fallback_modules;
-  std::vector<int> checked_modules;
-  for (int m = 0; m < static_cast<int>(num_modules); ++m) {
-    if (modules_[static_cast<size_t>(m)]->rule->SupportsBackward()) {
-      checked_modules.push_back(m);
-    } else {
-      fallback_modules.push_back(m);
-    }
-  }
   // One-step derivability from the *surviving explicit facts only*. A hit
   // is a sound survival proof: one-step derivable from the explicit set E'
   // implies membership in closure(E'). Used by the counting fast path; the
   // head-shape pre-filter mirrors phase 3's.
   const auto can_derive_explicit = [&](const Triple& t,
                                        const StoreView& explicit_view) {
-    for (int m : checked_modules) {
-      const Rule& rule = *modules_[static_cast<size_t>(m)]->rule;
-      if (!rule.OutputsAnyPredicate()) {
-        bool emits = false;
-        for (TermId p : rule.OutputPredicates()) {
-          if (p == t.p) {
-            emits = true;
-            break;
-          }
-        }
-        if (!emits) continue;
-      }
+    for (const auto& module : modules_) {
+      const Rule& rule = *module->rule;
+      if (!rule.EmitsPredicate(t.p)) continue;
       ++stats.count_checks;
       if (rule.CanDerive(t, explicit_view)) return true;
     }
@@ -279,24 +257,30 @@ Reasoner::RetractStats Reasoner::Retract(const TripleVec& batch) {
   // as inferred facts; their entire over-delete/rederive cone is skipped.
   // The explicit set is stable for the rest of this call (phase 2 erases
   // inferred triples only), so one pinned view serves every probe.
-  const bool counting = options_.enable_counting && !checked_modules.empty();
+  const bool counting = options_.enable_counting;
   std::optional<StoreView> explicit_view;
   if (counting) {
     explicit_view.emplace(store_->GetExplicitView());
     TripleVec into_cone;
+    TripleVec survivors;
     for (const Triple& t : round) {
       const int count = store_->DerivationCount(t);
       if (count > 0 && count < LfRow::kCountSaturated &&
           can_derive_explicit(t, *explicit_view)) {
-        ++stats.count_fast_path;
+        survivors.push_back(t);
         continue;
       }
       into_cone.push_back(t);
     }
     round.swap(into_cone);
     // Fast-path victims flipped from the explicit to the inferred
-    // population without passing through the cone.
-    inferred_count_.fetch_add(stats.count_fast_path);
+    // population without passing through the cone. Replay never demotes on
+    // an inferred record alone, so the flip is journaled as a tombstone
+    // followed by an inferred re-add.
+    stats.count_fast_path = survivors.size();
+    inferred_count_.fetch_add(survivors.size());
+    LogTombstones(survivors);
+    LogAdditions(survivors, /*is_explicit=*/false);
   }
 
   // Phase 2 (over-delete): walk the deletion cone in rounds. Each round's
@@ -307,6 +291,7 @@ Reasoner::RetractStats Reasoner::Retract(const TripleVec& batch) {
   // then erased. Consequences that survive as explicit facts stop the cone;
   // the rest become the next round's delta, routed along the dependency
   // graph exactly like inserted triples are.
+  const size_t num_modules = modules_.size();
   std::vector<TripleVec> pending(num_modules);
   for (size_t m = 0; m < num_modules; ++m) {
     for (const Triple& t : round) {
@@ -432,97 +417,41 @@ Reasoner::RetractStats Reasoner::Retract(const TripleVec& batch) {
   // rederivation cost proportional to the deleted cone — forward re-seeding
   // would re-join entire hub neighborhoods (every rdf:type survivor for one
   // retracted type assertion) to restore a handful of facts.
-  //
-  // Rules without a check fall back to exactly that forward scheme, scoped
-  // to their own modules: the survivors anchored on a deleted subject or
-  // object (rule locality, see Rule) are re-fed through those buffers and
-  // the re-added triples cascade through the ordinary insert path.
   const size_t size_before = store_->size();
   TripleVec remaining(deleted.begin(), deleted.end());
-  // Mixed fragments must reach a *joint* fixpoint: a triple restored by a
-  // checked rule can be the antecedent of a check-less rule's consequence
-  // and vice versa, so the outer loop alternates the two mechanisms until a
-  // whole round makes no progress. Fragments using only one mechanism exit
-  // after a single round — each inner scheme is a fixpoint by itself.
   while (!remaining.empty()) {
-    const size_t size_at_round_start = store_->size();
-
-    if (!fallback_modules.empty()) {
-      FlatHashSet terms;
-      for (const Triple& t : remaining) {
-        terms.Insert(t.s);
-        terms.Insert(t.o);
-      }
-      TripleSet seed_set;
-      TripleVec seeds;
-      const auto collect = [&](const Triple& t) {
-        if (seed_set.insert(t).second) seeds.push_back(t);
-      };
-      terms.ForEach([&](uint64_t u) {
-        const TermId id = static_cast<TermId>(u);
-        store_->ForEachMatch(TriplePattern{id, kAnyTerm, kAnyTerm}, collect);
-        store_->ForEachMatch(TriplePattern{kAnyTerm, kAnyTerm, id}, collect);
-      });
-      stats.rederive_seeds += seeds.size();
-      if (!seeds.empty()) {
-        RouteToModules(seeds, fallback_modules);
-        Flush();
-      }
-      // Drop what the fallback cascade restored.
-      TripleVec still_missing;
-      for (const Triple& t : remaining) {
-        if (!store_->Contains(t)) still_missing.push_back(t);
-      }
-      remaining.swap(still_missing);
-    }
-
-    while (!remaining.empty() && !checked_modules.empty()) {
-      TripleVec restored;
-      TripleVec still_missing;
-      // One view per pass: the pass checks against the store state at pass
-      // start; triples restored by this pass are added below and a fresh
-      // view picks them up next iteration.
-      const StoreView check_view = store_->GetView();
-      for (const Triple& t : remaining) {
-        bool derivable = false;
-        for (int m : checked_modules) {
-          const Rule& rule = *modules_[static_cast<size_t>(m)]->rule;
-          // Head-shape pre-filter: skip rules that cannot emit t's
-          // predicate.
-          if (!rule.OutputsAnyPredicate()) {
-            bool emits = false;
-            for (TermId p : rule.OutputPredicates()) {
-              if (p == t.p) {
-                emits = true;
-                break;
-              }
-            }
-            if (!emits) continue;
-          }
-          ++stats.rederive_checks;
-          if (rule.CanDerive(t, check_view)) {
-            derivable = true;
-            break;
-          }
-        }
-        if (derivable) {
-          restored.push_back(t);
-        } else {
-          still_missing.push_back(t);
+    TripleVec restored;
+    TripleVec still_missing;
+    // One view per pass: the pass checks against the store state at pass
+    // start; triples restored by this pass are added below and a fresh
+    // view picks them up next iteration.
+    const StoreView check_view = store_->GetView();
+    for (const Triple& t : remaining) {
+      bool derivable = false;
+      for (const auto& module : modules_) {
+        const Rule& rule = *module->rule;
+        // Head-shape pre-filter: skip rules that cannot emit t's predicate.
+        if (!rule.EmitsPredicate(t.p)) continue;
+        ++stats.rederive_checks;
+        if (rule.CanDerive(t, check_view)) {
+          derivable = true;
+          break;
         }
       }
-      if (restored.empty()) break;
-      // Restored triples need no routing: anything they can support is
-      // either a survivor (already stored) or over-deleted (checked again
-      // next pass against the store that now contains them).
-      store_->AddAll(restored, nullptr, /*is_explicit=*/false);
-      LogAdditions(restored, /*is_explicit=*/false);
-      inferred_count_.fetch_add(restored.size());
-      remaining.swap(still_missing);
+      if (derivable) {
+        restored.push_back(t);
+      } else {
+        still_missing.push_back(t);
+      }
     }
-
-    if (fallback_modules.empty() || checked_modules.empty()) break;
-    if (store_->size() == size_at_round_start) break;  // joint fixpoint
+    if (restored.empty()) break;
+    // Restored triples need no routing: anything they can support is
+    // either a survivor (already stored) or over-deleted (checked again
+    // next pass against the store that now contains them).
+    store_->AddAll(restored, nullptr, /*is_explicit=*/false);
+    LogAdditions(restored, /*is_explicit=*/false);
+    inferred_count_.fetch_add(restored.size());
+    remaining.swap(still_missing);
   }
   stats.rederived = store_->size() - size_before;
   return stats;

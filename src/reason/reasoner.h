@@ -56,11 +56,7 @@ namespace slider {
 ///  3. *rederive* — over-deletion is conservative, so each over-deleted
 ///     triple is tested against the surviving closure with the rules'
 ///     deletion-mode backward checks (Rule::CanDerive), iterated to a
-///     fixpoint so restored triples can support further restorations. Rules
-///     without a check fall back to neighborhood re-seeding: the survivors
-///     anchored on a deleted subject/object are re-fed through just those
-///     modules (rule locality — see Rule — guarantees such a seed exists
-///     for every rederivable consequence).
+///     fixpoint so restored triples can support further restorations.
 ///
 /// Counting fast path (ReasonerOptions::enable_counting). The insert
 /// pipeline maintains a saturating per-triple *derivation count* (one per
@@ -75,8 +71,7 @@ namespace slider {
 /// explicit-view check, whose hits are sound (one-step derivable from the
 /// surviving explicit set E' implies membership in closure(E')). The fast
 /// path falls back to full DRed whenever the count is zero, has saturated
-/// (overflowed its 7-bit width), the rule lacks a CanDerive, or the
-/// explicit-view check misses — so disabling it, or a conservative count,
+/// (overflowed its 7-bit width), or the explicit-view check misses — so disabling it, or a conservative count,
 /// only costs work, never correctness.
 ///
 /// The result equals a from-scratch closure of the surviving explicit set;
@@ -107,8 +102,11 @@ class Reasoner {
   /// reports the recovered population. `log` (may be null) receives a
   /// durable record of every store mutation the engine makes: an addition
   /// record per distinct stored triple, a tombstone per erased one,
-  /// re-addition records for rederived triples — so an ordered replay of
-  /// the log converges on the store contents even across Retract calls.
+  /// re-addition records for rederived triples, an explicit addition per
+  /// promoted (re-asserted inferred) triple, and a tombstone plus an
+  /// inferred re-addition per victim the counting fast path keeps — so an
+  /// ordered replay of the log converges on the store contents and support
+  /// flags even across Retract calls.
   /// Log appends are serialized internally; an append failure is sticky
   /// (see log_status()) and stops further logging. All borrowed resources
   /// must outlive the reasoner. This is how Repository embeds the
@@ -142,7 +140,6 @@ class Reasoner {
     size_t requested = 0;      ///< triples offered for retraction
     size_t retracted = 0;      ///< distinct victims that were asserted
     size_t overdeleted = 0;    ///< triples erased by over-deletion (incl. victims)
-    size_t rederive_seeds = 0; ///< survivors re-fed for check-less rules
     size_t rederived = 0;      ///< over-deleted triples restored by rederivation
     size_t delete_rounds = 0;  ///< over-deletion rounds until the cone closed
     uint64_t delete_derivations = 0;   ///< rule outputs in deletion mode

@@ -36,20 +36,7 @@ Result<std::unique_ptr<Repository>> Repository::Open(
     if (journaled.ok()) journaled = repo->JournalTerm(id);
   });
   SLIDER_RETURN_NOT_OK(journaled);
-  SLIDER_RETURN_NOT_OK(repo->CheckBackwardCoverable());
   return repo;
-}
-
-Status Repository::CheckBackwardCoverable() const {
-  if (!OnDemandMode() || BackwardCoverable(*fragment_)) return Status::OK();
-  // The chainer resolves goals through the rules' declared Horn clauses; a
-  // rule without clauses would make on-demand answers diverge from the
-  // closure for its head shapes.
-  return Status::InvalidArgument(
-      Format("inference mode kOnDemand/kHybrid requires a backward-"
-             "coverable fragment (every rule declaring goal clauses); "
-             "'%s' has rules without them",
-             fragment_->name().c_str()));
 }
 
 void Repository::ResetEngine() {
@@ -81,8 +68,8 @@ void Repository::ResetEngine() {
                                          &dict_, store_.get(), log_.get());
   } else if (OnDemandMode()) {
     // No inference core at all: queries answer through the hybrid provider.
-    // The fragment is still instantiated — it defines what the chainer must
-    // cover (validated by Open/Recover) and what fragment() reports.
+    // The fragment is still instantiated — its rules are what the chainer
+    // resolves, and what fragment() reports.
     if (fragment_ == nullptr) {
       fragment_ = std::make_unique<Fragment>(factory_(vocab_, &dict_));
     }
@@ -445,7 +432,6 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     // appends its own tombstone / rederivation records to the statement
     // log, so the replay contract below holds without the closure diff.
     TripleVec victims(removed.begin(), removed.end());
-    const uint64_t deriv_before = slider_->total_derivations();
     const Reasoner::RetractStats retract = slider_->Retract(victims);
     // The store mutation is already applied: a log failure degrades
     // durability, the in-memory state stays consistent.
@@ -454,11 +440,9 @@ Result<Repository::LoadStats> Repository::RemoveTriples(const TripleVec& triples
     stats.materialize.input_count = victims.size();
     stats.materialize.rounds = retract.delete_rounds;
     // Complete maintenance work in derivation-sized units: deletion-mode
-    // rule outputs, one per rederive check, plus any fallback-cascade rule
-    // outputs (counted by the engine's ordinary derivation counter).
+    // rule outputs plus one per rederive check.
     stats.materialize.derivations =
-        retract.delete_derivations + retract.rederive_checks +
-        (slider_->total_derivations() - deriv_before);
+        retract.delete_derivations + retract.rederive_checks;
     stats.seconds = watch.ElapsedSeconds();
     return stats;
   }
@@ -694,7 +678,6 @@ Result<std::unique_ptr<Repository>> Repository::Replay(
   // ResetEngine also rebuilds the kHybrid schema closure — derived state
   // neither the log nor the snapshot substitutes for.
   repo->ResetEngine();
-  SLIDER_RETURN_NOT_OK(repo->CheckBackwardCoverable());
   return repo;
 }
 

@@ -110,11 +110,8 @@ class Repository {
     /// the BackwardChainer, memoized in a TablingCache). Updates cost a
     /// store insert/erase plus targeted table invalidation — no inference
     /// at all — and journaling is unchanged (adds and tombstones append to
-    /// the statement log exactly as in the other modes). Requires a
-    /// fragment the chainer covers — every rule declaring its Horn clauses
-    /// (BackwardCoverable): all shipped fragments (ρdf, RDFS, the OWL
-    /// extension) qualify; Open rejects only fragments mixing in custom
-    /// rules without clause declarations.
+    /// the statement log exactly as in the other modes). Every rule is
+    /// defined by its Horn clauses, so the chainer covers any fragment.
     kOnDemand,
     /// The middle point: the *schema closure* (subClassOf/subPropertyOf
     /// reachability, domain/range inheritance — the hot predicates every
@@ -316,10 +313,6 @@ class Repository {
   /// On-demand AddTriples/RemoveTriples core: store mutation + direct
   /// journaling + schema refresh + table invalidation.
   Result<MaterializeStats> ApplyOnDemand(const TripleVec& input);
-
-  /// Open/Recover: kOnDemand/kHybrid need a fragment whose every rule
-  /// declares goal clauses (BackwardCoverable).
-  Status CheckBackwardCoverable() const;
 
   std::string LogPath() const;
   std::string SnapshotDictPath() const;

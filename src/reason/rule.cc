@@ -1,8 +1,14 @@
 #include "reason/rule.h"
 
+#include <algorithm>
+
+#include "common/macros.h"
+
 namespace slider {
 
 namespace {
+
+void ResetEnv(TermId* env) { std::fill(env, env + kMaxGoalVars, kAnyTerm); }
 
 /// Binds one head position: a constant template position must equal the
 /// bound goal term; a variable position binds it into `env` (kAnyTerm in
@@ -28,64 +34,219 @@ GoalAtom Substitute(const GoalAtom& a, const TermId* env) {
                   Substitute(a.o, env)};
 }
 
+/// JoinStep::fresh bits: the atom positions whose variable is unbound when
+/// the step runs. They select how the step reads the store.
+constexpr uint8_t kFreshS = 1, kFreshP = 2, kFreshO = 4;
 
-/// Depth-1 body join, declaration order, first satisfying binding wins.
-/// Fully-ground atoms become Contains probes; atoms with free variables
-/// collect their store matches and try each binding (collect-then-probe
-/// keeps the row iteration cache-friendly; see the note in rules_rhodf.cc).
-bool SatisfyFrom(const std::vector<GoalAtom>& body, size_t idx,
-                 TermId* env, const StoreView& store) {
-  if (idx == body.size()) return true;
-  const GoalAtom atom = Substitute(body[idx], env);
-  const bool ground = !atom.s.IsVar() && !atom.p.IsVar() && !atom.o.IsVar();
-  if (ground) {
-    return store.Contains(Triple(atom.s.term, atom.p.term, atom.o.term)) &&
-           SatisfyFrom(body, idx + 1, env, store);
-  }
-  const TriplePattern pattern{atom.s.IsVar() ? kAnyTerm : atom.s.term,
-                              atom.p.IsVar() ? kAnyTerm : atom.p.term,
-                              atom.o.IsVar() ? kAnyTerm : atom.o.term};
-  if (idx + 1 == body.size()) {
-    // Last atom: existence suffices, no bindings to carry forward.
-    bool any = false;
-    store.ForEachMatch(pattern, [&](const Triple& t) {
-      if (any) return;
-      TermId probe[kMaxGoalVars];
-      for (int i = 0; i < kMaxGoalVars; ++i) probe[i] = env[i];
-      any = BindGoalAtom(atom, t, probe);
-    });
-    return any;
-  }
-  TripleVec candidates;
-  store.ForEachMatch(pattern,
-                     [&](const Triple& t) { candidates.push_back(t); });
-  for (const Triple& t : candidates) {
-    TermId next[kMaxGoalVars];
-    for (int i = 0; i < kMaxGoalVars; ++i) next[i] = env[i];
-    if (!BindGoalAtom(atom, t, next)) continue;
-    if (SatisfyFrom(body, idx + 1, next, store)) return true;
-  }
-  return false;
+TermId Value(const GoalTerm& g, const TermId* env) {
+  return g.IsVar() ? env[g.var] : g.term;
 }
 
 }  // namespace
 
-bool BindGoalAtom(const GoalAtom& atom, const Triple& t, TermId* env) {
-  const GoalTerm slots[3] = {atom.s, atom.p, atom.o};
-  const TermId values[3] = {t.s, t.p, t.o};
-  for (int i = 0; i < 3; ++i) {
-    if (!slots[i].IsVar()) {
-      if (slots[i].term != values[i]) return false;
-      continue;
-    }
-    TermId& bound = env[slots[i].var];
-    if (bound == kAnyTerm) {
-      bound = values[i];
-    } else if (bound != values[i]) {
-      return false;
+/// The body join shared by Apply and CanDerive: runs `steps[k..]` of a
+/// compiled plan over `body`, binding each step's fresh variables in `env`
+/// in place (a later step overwrites a fresh variable before it reads it,
+/// so `env` is never copied). `emit(env)` sees each complete binding and
+/// returns true to stop the enumeration; Join returns true iff it was
+/// stopped.
+template <typename Emit>
+bool Rule::Join(const std::vector<GoalAtom>& body,
+                const std::vector<JoinStep>& steps, size_t k, TermId* env,
+                const StoreView& store, Emit& emit) {
+  if (k == steps.size()) return emit(env);
+  const JoinStep& step = steps[k];
+  const GoalAtom& a = body[step.atom];
+  bool stopped = false;
+  const bool last = k + 1 == steps.size();
+  const auto next = [&] {
+    stopped = last ? emit(env) : Join(body, steps, k + 1, env, store, emit);
+  };
+  switch (step.fresh) {
+    case 0:  // ground: a membership probe
+      return store.Contains(
+                 Triple(Value(a.s, env), Value(a.p, env), Value(a.o, env))) &&
+             Join(body, steps, k + 1, env, store, emit);
+    case kFreshO:
+      store.ForEachObject(Value(a.p, env), Value(a.s, env), [&](TermId o) {
+        if (stopped) return;
+        env[a.o.var] = o;
+        next();
+      });
+      break;
+    case kFreshS:
+      store.ForEachSubject(Value(a.p, env), Value(a.o, env), [&](TermId s) {
+        if (stopped) return;
+        env[a.s.var] = s;
+        next();
+      });
+      break;
+    case kFreshS | kFreshO:
+      store.ForEachWithPredicate(Value(a.p, env), [&](TermId s, TermId o) {
+        if (stopped || (a.s.var == a.o.var && s != o)) return;
+        env[a.s.var] = s;
+        env[a.o.var] = o;
+        next();
+      });
+      break;
+    default: {
+      // The predicate is unbound. Fresh positions are wildcards, and are
+      // unbound before each match so that binding checks a variable
+      // repeated within the atom.
+      const auto unbind = [&] {
+        if (step.fresh & kFreshS) env[a.s.var] = kAnyTerm;
+        if (step.fresh & kFreshP) env[a.p.var] = kAnyTerm;
+        if (step.fresh & kFreshO) env[a.o.var] = kAnyTerm;
+      };
+      unbind();
+      store.ForEachMatch(GoalAtomPattern(a, env), [&](const Triple& t) {
+        if (stopped) return;
+        unbind();
+        if (BindGoalAtom(a, t, env)) next();
+      });
     }
   }
-  return true;
+  return stopped;
+}
+
+Rule::Rule(std::string name, std::string definition,
+           std::vector<GoalClause> clauses)
+    : name_(std::move(name)),
+      definition_(std::move(definition)),
+      clauses_(std::move(clauses)) {
+  SLIDER_CHECK(!clauses_.empty());
+  bool universal = false;
+  const auto add_unique = [](std::vector<TermId>* set, TermId p) {
+    if (!Lists(*set, p)) set->push_back(p);
+  };
+  for (const GoalClause& clause : clauses_) {
+    SLIDER_CHECK(!clause.body.empty());
+    for (const GoalAtom& atom : clause.body) {
+      for (const GoalTerm& term : {atom.s, atom.p, atom.o}) {
+        SLIDER_CHECK(term.var < kMaxGoalVars);
+      }
+      if (atom.p.IsVar()) {
+        universal = true;
+      } else {
+        add_unique(&inputs_, atom.p.term);
+      }
+    }
+    if (clause.head.p.IsVar()) {
+      outputs_any_ = true;
+    } else {
+      add_unique(&outputs_, clause.head.p.term);
+    }
+  }
+  if (universal) inputs_.clear();
+  if (outputs_any_) outputs_.clear();
+  for (uint32_t c = 0; c < clauses_.size(); ++c) {
+    const uint32_t body_size = static_cast<uint32_t>(clauses_[c].body.size());
+    for (uint32_t i = 0; i < body_size; ++i) {
+      forward_plans_.push_back(Compile(c, i));
+    }
+    derive_plans_.push_back(Compile(c, body_size));
+  }
+}
+
+Rule::JoinPlan Rule::Compile(uint32_t clause, uint32_t trigger) const {
+  const std::vector<GoalAtom>& body = clauses_[clause].body;
+  bool bound[kMaxGoalVars] = {};
+  const auto bind_all = [&bound](const GoalAtom& a) {
+    for (const GoalTerm& g : {a.s, a.p, a.o}) {
+      if (g.IsVar()) bound[g.var] = true;
+    }
+  };
+  // The entry triple grounds the trigger atom, or the head for CanDerive.
+  bind_all(trigger < body.size() ? body[trigger] : clauses_[clause].head);
+  JoinPlan plan;
+  plan.clause = clause;
+  plan.trigger = trigger;
+  for (uint32_t i = 0; i < body.size(); ++i) {
+    if (i == trigger) continue;
+    const GoalAtom& a = body[i];
+    const auto is_bound = [&bound](const GoalTerm& g) {
+      return !g.IsVar() || bound[g.var];
+    };
+    JoinStep step;
+    step.atom = i;
+    step.fresh = (is_bound(a.s) ? 0 : kFreshS) |
+                 (is_bound(a.p) ? 0 : kFreshP) |
+                 (is_bound(a.o) ? 0 : kFreshO);
+    plan.steps.push_back(step);
+    bind_all(a);
+  }
+  return plan;
+}
+
+RulePtr MakeRule(std::string name, std::string definition,
+                 std::vector<GoalClause> clauses) {
+  return std::make_shared<const Rule>(std::move(name), std::move(definition),
+                                      std::move(clauses));
+}
+
+void Rule::Apply(const TripleVec& delta, const StoreView& store,
+                 TripleVec* out) const {
+  TermId env[kMaxGoalVars];
+  for (const Triple& t : delta) {
+    for (const JoinPlan& plan : forward_plans_) {
+      const GoalClause& clause = clauses_[plan.clause];
+      const GoalAtom& trigger = clause.body[plan.trigger];
+      if (!trigger.p.IsVar() && trigger.p.term != t.p) continue;
+      ResetEnv(env);
+      if (!BindGoalAtom(trigger, t, env)) continue;
+      const auto emit = [&](const TermId* bound) {
+        out->push_back(Triple(Value(clause.head.s, bound),
+                              Value(clause.head.p, bound),
+                              Value(clause.head.o, bound)));
+        return false;
+      };
+      Join(clause.body, plan.steps, 0, env, store, emit);
+    }
+  }
+}
+
+void Rule::ExpandGoal(const TriplePattern& head,
+                      std::vector<GoalClause>* out) const {
+  for (const GoalClause& clause : clauses_) {
+    TermId env[kMaxGoalVars];
+    ResetEnv(env);
+    if (!UnifyPosition(clause.head.s, head.s, env) ||
+        !UnifyPosition(clause.head.p, head.p, env) ||
+        !UnifyPosition(clause.head.o, head.o, env)) {
+      continue;
+    }
+    GoalClause instance;
+    instance.head = Substitute(clause.head, env);
+    instance.body.reserve(clause.body.size());
+    for (const GoalAtom& atom : clause.body) {
+      instance.body.push_back(Substitute(atom, env));
+    }
+    out->push_back(std::move(instance));
+  }
+}
+
+bool Rule::CanDerive(const Triple& t, const StoreView& store) const {
+  const auto found = [](const TermId*) { return true; };
+  for (const JoinPlan& plan : derive_plans_) {
+    const GoalClause& clause = clauses_[plan.clause];
+    TermId env[kMaxGoalVars];
+    ResetEnv(env);
+    if (BindGoalAtom(clause.head, t, env) &&
+        Join(clause.body, plan.steps, 0, env, store, found)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool BindGoalAtom(const GoalAtom& atom, const Triple& t, TermId* env) {
+  const auto bind = [env](const GoalTerm& slot, TermId value) {
+    if (!slot.IsVar()) return slot.term == value;
+    TermId& bound = env[slot.var];
+    if (bound == kAnyTerm) bound = value;
+    return bound == value;
+  };
+  return bind(atom.s, t.s) && bind(atom.p, t.p) && bind(atom.o, t.o);
 }
 
 TriplePattern GoalAtomPattern(const GoalAtom& atom, const TermId* env) {
@@ -94,54 +255,6 @@ TriplePattern GoalAtomPattern(const GoalAtom& atom, const TermId* env) {
     return env[t.var];  // kAnyTerm when unbound
   };
   return TriplePattern{resolve(atom.s), resolve(atom.p), resolve(atom.o)};
-}
-
-bool InstantiateClause(const GoalClause& clause, const TriplePattern& head,
-                       std::vector<GoalClause>* out) {
-  TermId env[kMaxGoalVars] = {kAnyTerm, kAnyTerm, kAnyTerm, kAnyTerm,
-                              kAnyTerm, kAnyTerm, kAnyTerm, kAnyTerm};
-  if (!UnifyPosition(clause.head.s, head.s, env) ||
-      !UnifyPosition(clause.head.p, head.p, env) ||
-      !UnifyPosition(clause.head.o, head.o, env)) {
-    return false;
-  }
-  GoalClause instance;
-  instance.head = Substitute(clause.head, env);
-  instance.body.reserve(clause.body.size());
-  for (const GoalAtom& atom : clause.body) {
-    instance.body.push_back(Substitute(atom, env));
-  }
-  out->push_back(std::move(instance));
-  return true;
-}
-
-bool BodySatisfiable(const std::vector<GoalAtom>& body,
-                     const StoreView& store) {
-  TermId env[kMaxGoalVars] = {kAnyTerm, kAnyTerm, kAnyTerm, kAnyTerm,
-                              kAnyTerm, kAnyTerm, kAnyTerm, kAnyTerm};
-  return SatisfyFrom(body, 0, env, store);
-}
-
-const std::vector<GoalClause>& Rule::BackwardClauses() const {
-  static const std::vector<GoalClause> kEmpty;
-  return kEmpty;
-}
-
-void Rule::ExpandGoal(const TriplePattern& head,
-                      std::vector<GoalClause>* out) const {
-  for (const GoalClause& clause : BackwardClauses()) {
-    InstantiateClause(clause, head, out);
-  }
-}
-
-bool Rule::CanDerive(const Triple& t, const StoreView& store) const {
-  if (!SupportsBackward()) return false;
-  std::vector<GoalClause> clauses;
-  ExpandGoal(TriplePattern{t.s, t.p, t.o}, &clauses);
-  for (const GoalClause& clause : clauses) {
-    if (BodySatisfiable(clause.body, store)) return true;
-  }
-  return false;
 }
 
 }  // namespace slider

@@ -17,7 +17,7 @@ namespace slider {
 /// fixed-size environment.
 inline constexpr int kMaxGoalVars = 8;
 
-/// \brief One term slot of a backward goal clause: a constant TermId or a
+/// \brief One term slot of a goal clause: a constant TermId or a
 /// clause-scoped variable.
 ///
 /// Variables carrying the same index within one GoalClause denote the same
@@ -45,159 +45,170 @@ struct GoalAtom {
   GoalTerm s, p, o;
 };
 
-/// \brief One Horn clause of a rule, as seen from its head: to prove a triple
-/// matching `head`, prove every atom of `body` under one consistent variable
-/// binding.
+/// \brief One Horn clause of a rule: `head` holds under every variable
+/// binding that satisfies all atoms of `body`.
 ///
-/// A rule's BackwardClauses() are templates (all variables free); ExpandGoal
-/// instantiates them against a concrete goal pattern, replacing head-bound
-/// variables with constants throughout the body. Body order is significant:
-/// it is the join order evaluators use, so clauses put their most selective
-/// (schema/declaration) atom first. Every head variable must also occur in
-/// the body, so a full body solution grounds the head.
+/// Body order is significant: it is the join order every evaluator uses
+/// (the forward delta join, CanDerive, the chainer), so clauses put their
+/// most selective (schema/declaration) atom first. Every head variable must
+/// also occur in the body, so a full body solution grounds the head.
 struct GoalClause {
   GoalAtom head;
   std::vector<GoalAtom> body;
 };
 
-/// \brief One inference rule; in Slider each rule is mapped onto an
-/// independent rule module (§2).
+/// \brief One inference rule, defined by its Horn clauses; in Slider each
+/// rule is mapped onto an independent rule module (§2).
 ///
-/// A rule declares the predicates it consumes (its buffer's admission
-/// filter) and the predicates it can produce (the edges of the rules
-/// dependency graph, §2.3). Apply() implements the incremental
-/// forward-chaining join of Algorithm 1: the buffered delta is joined
-/// against the triple store in both directions. The engine guarantees that
-/// the store already contains the delta when Apply runs, which is what makes
-/// delta-vs-store joins complete (delta×delta pairs are found through the
-/// store side).
+/// The clauses are the rule's single definition. Everything the engines
+/// need is compiled from them:
+///  - *InputPredicates* (the module buffer's admission filter) are the
+///    constant predicates of the body atoms; a body atom with a variable
+///    predicate makes the input universal (PRP-SPO1, PRP-DOM, PRP-RNG).
+///  - *OutputPredicates* (the edges of the rules dependency graph, §2.3)
+///    are the head predicates; a variable head predicate makes the rule
+///    emit any predicate (OutputsAnyPredicate).
+///  - *Apply* is the incremental forward join of Algorithm 1. Each delta
+///    triple takes the place of every body atom it matches, and the other
+///    atoms are joined against the store in declaration order. This is the
+///    two-direction delta-vs-store join of the paper.
+///  - *ExpandGoal* instantiates the clauses against a head pattern for the
+///    BackwardChainer (query/backward.h), and *CanDerive* is its depth-1
+///    case: the body of each clause whose head matches a ground triple is
+///    joined directly against the store.
+/// Apply and CanDerive share one body-join enumerator (Apply takes every
+/// binding, CanDerive the first). The constructor compiles each clause
+/// once per entry point (each body atom for Apply, the head for CanDerive)
+/// into a plan whose steps know which variables are bound when they run,
+/// so each step reads the store the way its boundness allows: a Contains
+/// probe for a ground atom, else ForEachObject, ForEachSubject or
+/// ForEachWithPredicate, and ForEachMatch when the predicate is unbound.
+///
+/// The engine guarantees that the store already contains the delta when
+/// Apply runs, which is what makes delta-vs-store joins complete: a pair
+/// whose two antecedents arrive in the same delta is found from both sides,
+/// so its consequence is emitted twice and the store's duplicate filter
+/// drops the second copy (see the note in rules_rhodf.cc).
 ///
 /// Rules never see the store directly: they read through a pinned
 /// StoreView (store/triple_store.h), a lock-free monotone snapshot handed
-/// in by the engine, so a rule execution acquires no lock at all and can
-/// never convoy with the distributor's writers. Apply must be thread-safe
-/// and must not mutate the store; it only appends produced triples
-/// (pre-deduplication) to `out`. The same rule can therefore run as several
+/// in by the engine, so a rule execution acquires no lock at all. A Rule is
+/// immutable after construction, so the same rule can run as several
 /// concurrent module instances, as in the paper.
-///
-/// Goal-directed (backward) interface. Besides the forward join, a rule can
-/// expose itself as Horn clauses (BackwardClauses / ExpandGoal): given a head
-/// pattern the rule can produce, ExpandGoal emits the antecedent subgoal
-/// conjunctions to prove, with head-bound positions substituted and join
-/// variables kept as clause-scoped variable slots. Two consumers share this
-/// single per-rule source of truth:
-///  - the BackwardChainer (query/backward.h) resolves goals recursively over
-///    the clauses of a whole rule set — full on-demand query answering;
-///  - CanDerive, the DRed rederivation check of Reasoner::Retract, is the
-///    depth-1 instantiation of ExpandGoal: each emitted body is joined
-///    directly against the store, with subgoals taken as facts rather than
-///    expanded further.
-/// Rules built on RuleBase get all of this by declaring their clause
-/// templates (SetClauses); SupportsBackward() reports whether clauses are
-/// available.
 ///
 /// Deletion mode (DRed). Reasoner::Retract drives rules in two extra ways:
 ///  - *over-delete* reuses Apply itself: a deletion delta is joined against
 ///    the store (while the delta is still stored) to enumerate the
 ///    consequences that may have lost support;
-///  - *rederive* uses CanDerive (above): checking each over-deleted triple
-///    directly keeps the rederivation cost proportional to the deleted cone,
-///    where forward re-seeding would re-join entire hub neighborhoods to
-///    restore a handful of facts.
-/// Rules without clauses (SupportsBackward() == false) are handled by a
-/// conservative fallback: the survivors anchored on a deleted
-/// subject/object are re-fed through just those modules. That fallback is
-/// complete only if every instantiation of the rule has at least one
-/// antecedent carrying the consequence's subject or object in its *own*
-/// subject or object position — true of any rule whose consequence
-/// endpoints are bound from an antecedent, as in all shipped rules. A
-/// custom rule that connects to its antecedents only through the predicate
-/// position should declare clauses (or override CanDerive).
+///  - *rederive* uses CanDerive: checking each over-deleted triple directly
+///    keeps the rederivation cost proportional to the deleted cone.
 class Rule {
  public:
-  virtual ~Rule() = default;
+  /// Builds a rule from its clauses (at least one; each variable slot below
+  /// kMaxGoalVars). `definition` is the human-readable form shown by the
+  /// demo GUI and the trace player.
+  Rule(std::string name, std::string definition,
+       std::vector<GoalClause> clauses);
 
   /// Stable rule name in the paper's notation, e.g. "CAX-SCO".
-  virtual const std::string& name() const = 0;
+  const std::string& name() const { return name_; }
 
   /// Human-readable rule definition, e.g. for the demo GUI panel.
-  virtual std::string Definition() const = 0;
+  const std::string& Definition() const { return definition_; }
+
+  /// The Horn clauses defining the rule.
+  const std::vector<GoalClause>& clauses() const { return clauses_; }
 
   /// Predicates admitted into this rule's buffer. Empty means *universal
-  /// input*: the rule consumes triples of every predicate (paper Figure 2:
-  /// PRP-SPO1, PRP-RNG, PRP-DOM).
-  virtual const std::vector<TermId>& InputPredicates() const = 0;
+  /// input*: the rule consumes triples of every predicate.
+  const std::vector<TermId>& InputPredicates() const { return inputs_; }
 
   /// Predicates this rule can emit. Ignored if OutputsAnyPredicate().
-  virtual const std::vector<TermId>& OutputPredicates() const = 0;
+  const std::vector<TermId>& OutputPredicates() const { return outputs_; }
 
   /// True if the rule can emit triples of arbitrary predicate (PRP-SPO1
   /// emits <x p2 y> for any property p2).
-  virtual bool OutputsAnyPredicate() const { return false; }
+  bool OutputsAnyPredicate() const { return outputs_any_; }
 
   /// True if the rule consumes every predicate (universal input).
-  bool HasUniversalInput() const { return InputPredicates().empty(); }
+  bool HasUniversalInput() const { return inputs_.empty(); }
 
   /// True if a triple with predicate `p` is admitted into this rule's
   /// buffer.
   bool AcceptsPredicate(TermId p) const {
-    const std::vector<TermId>& in = InputPredicates();
-    if (in.empty()) return true;
-    for (TermId candidate : in) {
-      if (candidate == p) return true;
-    }
-    return false;
+    return inputs_.empty() || Lists(inputs_, p);
+  }
+
+  /// True if the rule can emit a triple with predicate `p`.
+  bool EmitsPredicate(TermId p) const {
+    return outputs_any_ || Lists(outputs_, p);
   }
 
   /// Joins `delta` (newly arrived triples, already present in the viewed
   /// store) against `store` and appends every produced triple to `out`
   /// (duplicates included; the caller deduplicates through the store).
-  virtual void Apply(const TripleVec& delta, const StoreView& store,
-                     TripleVec* out) const = 0;
-
-  /// True iff this rule exposes Horn clauses for goal-directed evaluation
-  /// (BackwardClauses non-empty). Gates both the backward chainer's
-  /// coverage of this rule's heads and the DRed rederivation check.
-  virtual bool SupportsBackward() const { return !BackwardClauses().empty(); }
-
-  /// The rule's Horn clause templates (empty when the rule does not support
-  /// backward evaluation). Evaluators that need the uninstantiated shape —
-  /// capability/dependency analysis, transitive-clause recognition — read
-  /// these directly; goal resolution goes through ExpandGoal.
-  virtual const std::vector<GoalClause>& BackwardClauses() const;
+  void Apply(const TripleVec& delta, const StoreView& store,
+             TripleVec* out) const;
 
   /// Emits, for every clause whose head unifies with `head` (kAnyTerm =
   /// unconstrained position), the instantiated clause: variables bound by
   /// the head are replaced with the head's constants throughout, remaining
   /// variables stay as fresh join slots. Appends to `out`.
-  virtual void ExpandGoal(const TriplePattern& head,
-                          std::vector<GoalClause>* out) const;
+  void ExpandGoal(const TriplePattern& head,
+                  std::vector<GoalClause>* out) const;
 
   /// Deletion-mode backward check: true iff this rule can produce `t` in
-  /// one step from the triples visible through `store`. The default
-  /// implementation is the depth-1 instantiation of ExpandGoal: for each
-  /// clause instance of the fully-ground head, the body is joined against
-  /// the store (first satisfying binding wins). Returns false when
-  /// !SupportsBackward(). Must be thread-safe and must not mutate the
-  /// store. The caller pre-filters on the head shape (OutputPredicates /
-  /// OutputsAnyPredicate), but the clause-head unification rejects triples
-  /// the rule can never produce regardless.
-  virtual bool CanDerive(const Triple& t, const StoreView& store) const;
+  /// one step from the triples visible through `store` (first satisfying
+  /// body binding wins).
+  bool CanDerive(const Triple& t, const StoreView& store) const;
+
+ private:
+  static bool Lists(const std::vector<TermId>& predicates, TermId p) {
+    for (TermId candidate : predicates) {
+      if (candidate == p) return true;
+    }
+    return false;
+  }
+
+  /// One body atom of a compiled join. `fresh` marks the positions (bit 0
+  /// s, 1 p, 2 o) whose variable is still unbound when the step runs; it
+  /// selects the store access (see rule.cc).
+  struct JoinStep {
+    uint32_t atom = 0;  ///< index into the clause body
+    uint8_t fresh = 0;
+  };
+
+  /// A clause compiled for one entry point: a delta triple matching body
+  /// atom `trigger` (Apply), or a ground head (CanDerive; trigger is the
+  /// body size). `steps` are the other atoms in declaration order.
+  struct JoinPlan {
+    uint32_t clause = 0;
+    uint32_t trigger = 0;
+    std::vector<JoinStep> steps;
+  };
+
+  JoinPlan Compile(uint32_t clause, uint32_t trigger) const;
+
+  template <typename Emit>
+  static bool Join(const std::vector<GoalAtom>& body,
+                   const std::vector<JoinStep>& steps, size_t k, TermId* env,
+                   const StoreView& store, Emit& emit);
+
+  std::string name_;
+  std::string definition_;
+  std::vector<GoalClause> clauses_;
+  std::vector<TermId> inputs_;   // empty = universal
+  std::vector<TermId> outputs_;  // ignored when outputs_any_
+  bool outputs_any_ = false;
+  std::vector<JoinPlan> forward_plans_;  // per (clause, body atom), in order
+  std::vector<JoinPlan> derive_plans_;   // per clause
 };
 
 using RulePtr = std::shared_ptr<const Rule>;
 
-/// Unifies `head` against `clause`'s head template. On success appends the
-/// instantiated clause to `out` and returns true. Exposed for evaluators
-/// that work from raw clause templates.
-bool InstantiateClause(const GoalClause& clause, const TriplePattern& head,
-                       std::vector<GoalClause>* out);
-
-/// True iff `body` has a satisfying binding where every atom (variables
-/// free) is matched directly against `store` — the depth-1 evaluation
-/// backing the default CanDerive. Atoms are joined in declaration order.
-bool BodySatisfiable(const std::vector<GoalAtom>& body,
-                     const StoreView& store);
+/// Builds a shared rule (the form fragments hold).
+RulePtr MakeRule(std::string name, std::string definition,
+                 std::vector<GoalClause> clauses);
 
 /// Tries to extend `env` (kAnyTerm slots = unbound) so that `atom` matches
 /// triple `t`; constants must equal, variables bind-or-check. Returns false
@@ -208,42 +219,6 @@ bool BindGoalAtom(const GoalAtom& atom, const Triple& t, TermId* env);
 /// variables become concrete terms, unbound variables become kAnyTerm
 /// wildcards.
 TriplePattern GoalAtomPattern(const GoalAtom& atom, const TermId* env);
-
-/// \brief Convenience base holding the data every concrete rule returns.
-class RuleBase : public Rule {
- public:
-  RuleBase(std::string name, std::string definition, std::vector<TermId> inputs,
-           std::vector<TermId> outputs, bool outputs_any = false)
-      : name_(std::move(name)),
-        definition_(std::move(definition)),
-        inputs_(std::move(inputs)),
-        outputs_(std::move(outputs)),
-        outputs_any_(outputs_any) {}
-
-  const std::string& name() const override { return name_; }
-  std::string Definition() const override { return definition_; }
-  const std::vector<TermId>& InputPredicates() const override { return inputs_; }
-  const std::vector<TermId>& OutputPredicates() const override { return outputs_; }
-  bool OutputsAnyPredicate() const override { return outputs_any_; }
-  const std::vector<GoalClause>& BackwardClauses() const override {
-    return clauses_;
-  }
-
- protected:
-  /// Declares the rule's Horn clauses (constructor-time; body order is the
-  /// evaluators' join order — most selective atom first).
-  void SetClauses(std::vector<GoalClause> clauses) {
-    clauses_ = std::move(clauses);
-  }
-
- private:
-  std::string name_;
-  std::string definition_;
-  std::vector<TermId> inputs_;
-  std::vector<TermId> outputs_;
-  bool outputs_any_;
-  std::vector<GoalClause> clauses_;
-};
 
 }  // namespace slider
 

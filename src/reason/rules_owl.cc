@@ -1,8 +1,6 @@
-#include "reason/rules_owl.h"
+// The extension fragment's clause table: RDFS plus five OWL 2 RL rules.
 
-#include <memory>
-#include <string>
-#include <vector>
+#include "reason/rules_owl.h"
 
 namespace slider {
 
@@ -19,197 +17,47 @@ OwlTerms OwlTerms::Register(Dictionary* dict) {
   return owl;
 }
 
-// ---------------------------------------------------------------------------
-// PRP-INV1/2
-// ---------------------------------------------------------------------------
-
-PrpInvRule::PrpInvRule(const Vocabulary& v, const OwlTerms& owl)
-    : RuleBase("PRP-INV", "<p1 inverseOf p2> ^ <x p1 y> -> <y p2 x> (and vice versa)",
-               /*inputs=*/{}, /*outputs=*/{}, /*outputs_any=*/true),
-      v_(v),
-      owl_(owl) {
-  // head <y p2 x>  ⇐  <p1 inverseOf p2> ∧ <x p1 y>, once per declaration
-  // direction (inverseOf is symmetric in effect). The head predicate is a
-  // variable bound through the inverseOf meta-edge.
-  SetClauses({GoalClause{GoalAtom{V(0), V(1), V(2)},
-                         {GoalAtom{V(3), C(owl.inverse_of), V(1)},
-                          GoalAtom{V(2), V(3), V(0)}}},
-              GoalClause{GoalAtom{V(0), V(1), V(2)},
-                         {GoalAtom{V(1), C(owl.inverse_of), V(3)},
-                          GoalAtom{V(2), V(3), V(0)}}}});
-}
-
-void PrpInvRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == owl_.inverse_of) {
-      // New <p1 inverseOf p2>: flip every stored statement of both sides.
-      store.ForEachWithPredicate(t.s, [&](TermId x, TermId y) {
-        out->push_back(Triple(y, t.o, x));
-      });
-      store.ForEachWithPredicate(t.o, [&](TermId x, TermId y) {
-        out->push_back(Triple(y, t.s, x));
-      });
-    }
-    // Instance statement <x p y>: flip through declared inverses of p, in
-    // both declaration directions (inverseOf is symmetric in effect).
-    store.ForEachObject(owl_.inverse_of, t.p, [&](TermId p2) {
-      out->push_back(Triple(t.o, p2, t.s));
-    });
-    store.ForEachSubject(owl_.inverse_of, t.p, [&](TermId p1) {
-      out->push_back(Triple(t.o, p1, t.s));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PRP-TRP
-// ---------------------------------------------------------------------------
-
-PrpTrpRule::PrpTrpRule(const Vocabulary& v, const OwlTerms& owl)
-    : RuleBase("PRP-TRP",
-               "<p type TransitiveProperty> ^ <x p y> ^ <y p z> -> <x p z>",
-               /*inputs=*/{}, /*outputs=*/{}, /*outputs_any=*/true),
-      v_(v),
-      owl_(owl) {
-  // head <x p z>  ⇐  <p type TransitiveProperty> ∧ <x p y> ∧ <y p z>.
-  // Once the goal pins p, the guard atom is ground and the remaining body
-  // is the self-transitive shape the chainer answers by reachability.
-  SetClauses({GoalClause{
-      GoalAtom{V(0), V(1), V(2)},
-      {GoalAtom{V(1), C(v.type), C(owl.transitive_property)},
-       GoalAtom{V(0), V(1), V(3)}, GoalAtom{V(3), V(1), V(2)}}}});
-}
-
-void PrpTrpRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.type && t.o == owl_.transitive_property) {
-      // Late declaration: self-join the whole partition of the property.
-      store.ForEachWithPredicate(t.s, [&](TermId x, TermId y) {
-        store.ForEachObject(t.s, y, [&](TermId z) {
-          out->push_back(Triple(x, t.s, z));
-        });
-      });
-      continue;
-    }
-    // Instance statement: extend both ways iff p is declared transitive.
-    if (!store.Contains(Triple(t.p, v_.type, owl_.transitive_property))) {
-      continue;
-    }
-    store.ForEachObject(t.p, t.o, [&](TermId z) {
-      out->push_back(Triple(t.s, t.p, z));
-    });
-    store.ForEachSubject(t.p, t.s, [&](TermId w) {
-      out->push_back(Triple(w, t.p, t.o));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PRP-SYMP
-// ---------------------------------------------------------------------------
-
-PrpSympRule::PrpSympRule(const Vocabulary& v, const OwlTerms& owl)
-    : RuleBase("PRP-SYMP", "<p type SymmetricProperty> ^ <x p y> -> <y p x>",
-               /*inputs=*/{}, /*outputs=*/{}, /*outputs_any=*/true),
-      v_(v),
-      owl_(owl) {
-  // head <y p x>  ⇐  <p type SymmetricProperty> ∧ <x p y>.
-  SetClauses({GoalClause{
-      GoalAtom{V(0), V(1), V(2)},
-      {GoalAtom{V(1), C(v.type), C(owl.symmetric_property)},
-       GoalAtom{V(2), V(1), V(0)}}}});
-}
-
-void PrpSympRule::Apply(const TripleVec& delta, const StoreView& store,
-                        TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.type && t.o == owl_.symmetric_property) {
-      store.ForEachWithPredicate(t.s, [&](TermId x, TermId y) {
-        out->push_back(Triple(y, t.s, x));
-      });
-      continue;
-    }
-    if (store.Contains(Triple(t.p, v_.type, owl_.symmetric_property))) {
-      out->push_back(Triple(t.o, t.p, t.s));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SCM-DOM1 / SCM-RNG1
-// ---------------------------------------------------------------------------
-
-ScmDom1Rule::ScmDom1Rule(const Vocabulary& v)
-    : RuleBase("SCM-DOM1", "<p domain c1> ^ <c1 subClassOf c2> -> <p domain c2>",
-               {v.domain, v.sub_class_of}, {v.domain}),
-      v_(v) {
-  // head <p domain c2>  ⇐  <p domain c1> ∧ <c1 sco c2>
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.domain), V(1)},
-      {GoalAtom{V(0), C(v.domain), V(2)},
-       GoalAtom{V(2), C(v.sub_class_of), V(1)}}}});
-}
-
-void ScmDom1Rule::Apply(const TripleVec& delta, const StoreView& store,
-                        TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.domain) {
-      // t = <p domain c1>: widen through stored superclasses of c1.
-      store.ForEachObject(v_.sub_class_of, t.o, [&](TermId c2) {
-        out->push_back(Triple(t.s, v_.domain, c2));
-      });
-    } else if (t.p == v_.sub_class_of) {
-      // t = <c1 subClassOf c2>: widen every stored domain at c1.
-      store.ForEachSubject(v_.domain, t.s, [&](TermId p) {
-        out->push_back(Triple(p, v_.domain, t.o));
-      });
-    }
-  }
-}
-
-ScmRng1Rule::ScmRng1Rule(const Vocabulary& v)
-    : RuleBase("SCM-RNG1", "<p range c1> ^ <c1 subClassOf c2> -> <p range c2>",
-               {v.range, v.sub_class_of}, {v.range}),
-      v_(v) {
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.range), V(1)},
-      {GoalAtom{V(0), C(v.range), V(2)},
-       GoalAtom{V(2), C(v.sub_class_of), V(1)}}}});
-}
-
-void ScmRng1Rule::Apply(const TripleVec& delta, const StoreView& store,
-                        TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.range) {
-      store.ForEachObject(v_.sub_class_of, t.o, [&](TermId c2) {
-        out->push_back(Triple(t.s, v_.range, c2));
-      });
-    } else if (t.p == v_.sub_class_of) {
-      store.ForEachSubject(v_.range, t.s, [&](TermId p) {
-        out->push_back(Triple(p, v_.range, t.o));
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fragment assembly
-// ---------------------------------------------------------------------------
-
 Fragment OwlLiteFragment(const Vocabulary& v, Dictionary* dict) {
   const OwlTerms owl = OwlTerms::Register(dict);
-  Fragment rdfs = Fragment::Rdfs(v);
+  const Fragment rdfs = Fragment::Rdfs(v);
   Fragment f("owl-lite");
   for (const RulePtr& rule : rdfs.rules()) {
     f.AddRule(rule);
   }
-  f.AddRule(std::make_shared<PrpInvRule>(v, owl));
-  f.AddRule(std::make_shared<PrpTrpRule>(v, owl));
-  f.AddRule(std::make_shared<PrpSympRule>(v, owl));
-  f.AddRule(std::make_shared<ScmDom1Rule>(v));
-  f.AddRule(std::make_shared<ScmRng1Rule>(v));
+  // head <y p2 x>  ⇐  <p1 inverseOf p2> ∧ <x p1 y>, once per declaration
+  // direction (inverseOf is symmetric in effect). The head predicate is a
+  // variable bound through the inverseOf meta-edge.
+  f.AddRule(MakeRule(
+      "PRP-INV", "<p1 inverseOf p2> ^ <x p1 y> -> <y p2 x> (and vice versa)",
+      {{{V(0), V(1), V(2)},
+        {{V(3), C(owl.inverse_of), V(1)}, {V(2), V(3), V(0)}}},
+       {{V(0), V(1), V(2)},
+        {{V(1), C(owl.inverse_of), V(3)}, {V(2), V(3), V(0)}}}}));
+  // head <x p z>  ⇐  <p type TransitiveProperty> ∧ <x p y> ∧ <y p z>. A
+  // late declaration re-joins the whole partition of p, so declaration
+  // order does not matter. Once a goal pins p, the guard atom is ground
+  // and the rest is the self-transitive shape the chainer answers by
+  // reachability.
+  f.AddRule(MakeRule(
+      "PRP-TRP", "<p type TransitiveProperty> ^ <x p y> ^ <y p z> -> <x p z>",
+      {{{V(0), V(1), V(2)},
+        {{V(1), C(v.type), C(owl.transitive_property)},
+         {V(0), V(1), V(3)},
+         {V(3), V(1), V(2)}}}}));
+  // head <y p x>  ⇐  <p type SymmetricProperty> ∧ <x p y>.
+  f.AddRule(MakeRule(
+      "PRP-SYMP", "<p type SymmetricProperty> ^ <x p y> -> <y p x>",
+      {{{V(0), V(1), V(2)},
+        {{V(1), C(v.type), C(owl.symmetric_property)}, {V(2), V(1), V(0)}}}}));
+  // head <p domain c2>  ⇐  <p domain c1> ∧ <c1 sco c2>
+  f.AddRule(MakeRule(
+      "SCM-DOM1", "<p domain c1> ^ <c1 subClassOf c2> -> <p domain c2>",
+      {{{V(0), C(v.domain), V(1)},
+        {{V(0), C(v.domain), V(2)}, {V(2), C(v.sub_class_of), V(1)}}}}));
+  f.AddRule(MakeRule(
+      "SCM-RNG1", "<p range c1> ^ <c1 subClassOf c2> -> <p range c2>",
+      {{{V(0), C(v.range), V(1)},
+        {{V(0), C(v.range), V(2)}, {V(2), C(v.sub_class_of), V(1)}}}}));
   return f;
 }
 

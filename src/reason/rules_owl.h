@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "reason/fragment.h"
-#include "reason/rule.h"
 
 namespace slider {
 
@@ -27,84 +26,17 @@ struct OwlTerms {
   static OwlTerms Register(Dictionary* dict);
 };
 
-/// \brief PRP-INV1/2: <p1 inverseOf p2> ∧ <x p1 y> → <y p2 x>, and
-/// <x p2 y> → <y p1 x>.
-///
-/// Universal input (instance antecedent has any predicate); emits arbitrary
-/// predicates. Part of the paper's future-work direction of "more complex
-/// inference rules"; OWL 2 RL rule names prp-inv1/prp-inv2. Declares two
-/// clauses, one per declaration direction.
-class PrpInvRule : public RuleBase {
- public:
-  PrpInvRule(const Vocabulary& v, const OwlTerms& owl);
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override;
-
- private:
-  Vocabulary v_;
-  OwlTerms owl_;
-};
-
-/// \brief PRP-TRP: <p type TransitiveProperty> ∧ <x p y> ∧ <y p z> →
-/// <x p z>.
-///
-/// The first three-antecedent rule of the library: the property
-/// declaration is probed in the store, and the instance pair joins in both
-/// directions as usual. A late-arriving declaration re-joins the whole
-/// predicate partition, so declaration order does not matter. The backward
-/// clause is the guarded self-transitive shape the chainer recognizes and
-/// answers by reachability once the declaration guard holds.
-class PrpTrpRule : public RuleBase {
- public:
-  PrpTrpRule(const Vocabulary& v, const OwlTerms& owl);
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override;
-
- private:
-  Vocabulary v_;
-  OwlTerms owl_;
-};
-
-/// \brief PRP-SYMP: <p type SymmetricProperty> ∧ <x p y> → <y p x>.
-class PrpSympRule : public RuleBase {
- public:
-  PrpSympRule(const Vocabulary& v, const OwlTerms& owl);
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override;
-
- private:
-  Vocabulary v_;
-  OwlTerms owl_;
-};
-
-/// \brief SCM-DOM1: <p domain c1> ∧ <c1 subClassOf c2> → <p domain c2>.
-/// Not part of ρdf's eight rules; completes the schema closure in the
-/// extension fragment.
-class ScmDom1Rule : public RuleBase {
- public:
-  explicit ScmDom1Rule(const Vocabulary& v);
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override;
-
- private:
-  Vocabulary v_;
-};
-
-/// \brief SCM-RNG1: <p range c1> ∧ <c1 subClassOf c2> → <p range c2>.
-class ScmRng1Rule : public RuleBase {
- public:
-  explicit ScmRng1Rule(const Vocabulary& v);
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override;
-
- private:
-  Vocabulary v_;
-};
-
-/// Builds the extension fragment: RDFS plus the OWL rules above — the
-/// "more complex fragment" of the paper's future-work section,
-/// demonstrating that Slider's architecture extends without engine
-/// changes.
+/// Builds the extension fragment: RDFS plus five OWL 2 RL rules — the
+/// "more complex fragment" of the paper's future-work section, showing
+/// that Slider's architecture extends without engine changes:
+///  - PRP-INV (prp-inv1/2): <p1 inverseOf p2> ∧ <x p1 y> → <y p2 x>, and
+///    the reverse direction (two clauses);
+///  - PRP-TRP: <p type TransitiveProperty> ∧ <x p y> ∧ <y p z> → <x p z>,
+///    the first three-antecedent rule of the library;
+///  - PRP-SYMP: <p type SymmetricProperty> ∧ <x p y> → <y p x>;
+///  - SCM-DOM1 / SCM-RNG1: <p domain c1> ∧ <c1 subClassOf c2> →
+///    <p domain c2>, and the same for range, which complete the schema
+///    closure.
 Fragment OwlLiteFragment(const Vocabulary& v, Dictionary* dict);
 
 /// FragmentFactory for OwlLiteFragment.

@@ -1,97 +1,59 @@
-#include "reason/rules_rdfs.h"
+// The RDFS fragment's clause table: ρdf plus the single-antecedent RDFS
+// axiom rules (W3C RDF Semantics entailment rule names). Having a one-atom
+// body, these rules never join with the store: each matching delta triple
+// grounds the head directly.
 
-#include <memory>
+#include "reason/fragment.h"
 
 namespace slider {
 
 namespace {
 GoalTerm C(TermId t) { return GoalTerm::Const(t); }
 GoalTerm V(int v) { return GoalTerm::Var(v); }
+
+/// <x type K> → <x P obj>. The reflexive instances (RDFS6/RDFS10) pass
+/// V(0) as `obj`, so the head repeats the subject in the object position.
+RulePtr TypeAxiom(std::string name, std::string definition, const Vocabulary& v,
+                  TermId trigger_class, TermId out_predicate, GoalTerm obj) {
+  return MakeRule(std::move(name), std::move(definition),
+                  {{{V(0), C(out_predicate), obj},
+                    {{V(0), C(v.type), C(trigger_class)}}}});
+}
 }  // namespace
 
-TypeAxiomRule::TypeAxiomRule(std::string name, std::string definition,
-                             const Vocabulary& v, TermId trigger_class,
-                             TermId out_predicate, ObjectMode mode,
-                             TermId fixed_object)
-    : RuleBase(std::move(name), std::move(definition), {v.type},
-               {out_predicate}),
-      type_(v.type),
-      trigger_class_(trigger_class),
-      out_predicate_(out_predicate),
-      mode_(mode),
-      fixed_object_(fixed_object) {
-  // head <x P obj>  ⇐  <x type K>; the reflexive instances repeat V(0) in
-  // the head object, so goal unification enforces subject == object.
-  const GoalTerm obj =
-      mode == ObjectMode::kSubject ? V(0) : C(fixed_object);
-  SetClauses({GoalClause{GoalAtom{V(0), C(out_predicate), obj},
-                         {GoalAtom{V(0), C(v.type), C(trigger_class)}}}});
-}
-
-void TypeAxiomRule::Apply(const TripleVec& delta, const StoreView& /*store*/,
-                          TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p != type_ || t.o != trigger_class_) continue;
-    const TermId obj = mode_ == ObjectMode::kSubject ? t.s : fixed_object_;
-    out->push_back(Triple(t.s, out_predicate_, obj));
+Fragment Fragment::Rdfs(const Vocabulary& v, bool include_rdfs4) {
+  // Rebadge: the same ρdf rule objects, larger fragment.
+  const Fragment rhodf = RhoDf(v);
+  Fragment rdfs(include_rdfs4 ? "rdfs-full" : "rdfs");
+  for (const RulePtr& rule : rhodf.rules()) {
+    rdfs.AddRule(rule);
   }
-}
-
-RulePtr TypeAxiomRule::Rdfs6(const Vocabulary& v) {
-  return std::make_shared<TypeAxiomRule>(
-      "RDFS6", "<p type Property> -> <p subPropertyOf p>", v, v.property,
-      v.sub_property_of, ObjectMode::kSubject);
-}
-
-RulePtr TypeAxiomRule::Rdfs8(const Vocabulary& v) {
-  return std::make_shared<TypeAxiomRule>(
-      "RDFS8", "<c type Class> -> <c subClassOf Resource>", v, v.rdfs_class,
-      v.sub_class_of, ObjectMode::kFixed, v.resource);
-}
-
-RulePtr TypeAxiomRule::Rdfs10(const Vocabulary& v) {
-  return std::make_shared<TypeAxiomRule>(
-      "RDFS10", "<c type Class> -> <c subClassOf c>", v, v.rdfs_class,
-      v.sub_class_of, ObjectMode::kSubject);
-}
-
-RulePtr TypeAxiomRule::Rdfs12(const Vocabulary& v) {
-  return std::make_shared<TypeAxiomRule>(
+  rdfs.AddRule(TypeAxiom("RDFS6", "<p type Property> -> <p subPropertyOf p>",
+                         v, v.property, v.sub_property_of, V(0)));
+  rdfs.AddRule(TypeAxiom("RDFS8", "<c type Class> -> <c subClassOf Resource>",
+                         v, v.rdfs_class, v.sub_class_of, C(v.resource)));
+  rdfs.AddRule(TypeAxiom("RDFS10", "<c type Class> -> <c subClassOf c>", v,
+                         v.rdfs_class, v.sub_class_of, V(0)));
+  rdfs.AddRule(TypeAxiom(
       "RDFS12",
       "<p type ContainerMembershipProperty> -> <p subPropertyOf member>", v,
-      v.container_membership, v.sub_property_of, ObjectMode::kFixed, v.member);
-}
-
-RulePtr TypeAxiomRule::Rdfs13(const Vocabulary& v) {
-  return std::make_shared<TypeAxiomRule>(
-      "RDFS13", "<d type Datatype> -> <d subClassOf Literal>", v, v.datatype,
-      v.sub_class_of, ObjectMode::kFixed, v.literal);
-}
-
-Rdfs4Rule::Rdfs4Rule(const Vocabulary& v, Position position)
-    : RuleBase(position == Position::kSubject ? "RDFS4A" : "RDFS4B",
-               position == Position::kSubject
-                   ? "<x p y> -> <x type Resource>"
-                   : "<x p y> -> <y type Resource>",
-               /*inputs=*/{}, {v.type}),
-      type_(v.type),
-      resource_(v.resource),
-      position_(position) {
-  // head <x type Resource>  ⇐  <x p y> (x in our position; the rest are
-  // don't-cares).
-  const GoalAtom evidence = position == Position::kSubject
-                                ? GoalAtom{V(0), V(1), V(2)}
-                                : GoalAtom{V(1), V(2), V(0)};
-  SetClauses({GoalClause{GoalAtom{V(0), C(v.type), C(v.resource)},
-                         {evidence}}});
-}
-
-void Rdfs4Rule::Apply(const TripleVec& delta, const StoreView& /*store*/,
-                      TripleVec* out) const {
-  for (const Triple& t : delta) {
-    const TermId x = position_ == Position::kSubject ? t.s : t.o;
-    out->push_back(Triple(x, type_, resource_));
+      v.container_membership, v.sub_property_of, C(v.member)));
+  rdfs.AddRule(TypeAxiom("RDFS13",
+                         "<d type Datatype> -> <d subClassOf Literal>", v,
+                         v.datatype, v.sub_class_of, C(v.literal)));
+  if (include_rdfs4) {
+    // The "everything is a Resource" rules: part of full RDFS entailment
+    // but suppressed by default, as optimised rulesets (incl. OWLIM's) do.
+    // The head variable sits in the subject (4a) or object (4b) of a
+    // universal evidence atom; the other positions are don't-cares.
+    rdfs.AddRule(MakeRule("RDFS4A", "<x p y> -> <x type Resource>",
+                          {{{V(0), C(v.type), C(v.resource)},
+                            {{V(0), V(1), V(2)}}}}));
+    rdfs.AddRule(MakeRule("RDFS4B", "<x p y> -> <y type Resource>",
+                          {{{V(0), C(v.type), C(v.resource)},
+                            {{V(1), V(2), V(0)}}}}));
   }
+  return rdfs;
 }
 
 }  // namespace slider

@@ -1,281 +1,78 @@
-#include "reason/rules_rhodf.h"
-
-#include <vector>
-
-namespace slider {
-
+// The ρdf fragment's clause table: the eight rules of the paper's Figure 2
+// (names follow the OWL 2 RL rule tables of Motik et al. that the paper
+// cites).
+//
 // NOTE on join duplicates: when both antecedents of a pair arrive in the
 // same delta batch, the two directions of the Algorithm 1 join derive the
 // pair twice (the store already holds the whole batch when Apply runs).
 // Suppressing the second derivation with a batch-membership probe was
 // evaluated and measured SLOWER than letting the store's duplicate filter
 // reject the extra triples: the per-match hash probe costs more than the
-// duplicate it saves (see EXPERIMENTS.md, chain discussion). The rules
-// therefore keep the plain two-direction join.
+// duplicate it saves (see EXPERIMENTS.md, chain discussion). The generic
+// join (Rule::Apply) therefore stays the plain two-direction join.
 //
-// NOTE on backward clauses: each constructor declares the rule's Horn
-// clause via SetClauses. Variable slot conventions used below: the clause
-// head's variables come first, join variables after. Body order is the
-// depth-1 join order of CanDerive (and the chainer's resolution order), so
-// the selective schema/declaration atom is listed first — this reproduces
-// the collect-candidates-then-probe shape the hand-written CanDerive
-// implementations used before the rules were unified behind ExpandGoal.
+// NOTE on clause layout: the clause head's variables come first, join
+// variables after. Body order is the join order of every evaluator, so the
+// selective schema/declaration atom is listed first.
+
+#include "reason/fragment.h"
+
+namespace slider {
 
 namespace {
 GoalTerm C(TermId t) { return GoalTerm::Const(t); }
 GoalTerm V(int v) { return GoalTerm::Var(v); }
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// CAX-SCO (the paper's Algorithm 1)
-// ---------------------------------------------------------------------------
-
-CaxScoRule::CaxScoRule(const Vocabulary& v)
-    : RuleBase("CAX-SCO",
-               "<c1 subClassOf c2> ^ <x type c1> -> <x type c2>",
-               {v.sub_class_of, v.type}, {v.type}),
-      v_(v) {
-  // head <x type c2>  ⇐  <c1 sco c2> ∧ <x type c1>
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.type), V(1)},
-      {GoalAtom{V(2), C(v.sub_class_of), V(1)},
-       GoalAtom{V(0), C(v.type), V(2)}}}});
-}
-
-void CaxScoRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.sub_class_of) {
-      // t = <c1 subClassOf c2>; find <x type c1> in the store.
-      store.ForEachSubject(v_.type, t.s, [&](TermId x) {
-        out->push_back(Triple(x, v_.type, t.o));
-      });
-    } else if (t.p == v_.type) {
-      // t = <x type c1>; find <c1 subClassOf c2> in the store.
-      store.ForEachObject(v_.sub_class_of, t.o, [&](TermId c2) {
-        out->push_back(Triple(t.s, v_.type, c2));
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SCM-SCO
-// ---------------------------------------------------------------------------
-
-ScmScoRule::ScmScoRule(const Vocabulary& v)
-    : RuleBase("SCM-SCO",
-               "<c1 subClassOf c2> ^ <c2 subClassOf c3> -> <c1 subClassOf c3>",
-               {v.sub_class_of}, {v.sub_class_of}),
-      v_(v) {
+Fragment Fragment::RhoDf(const Vocabulary& v) {
+  Fragment f("rhodf");
   // head <c1 sco c3>  ⇐  <c1 sco c2> ∧ <c2 sco c3>. The chainer recognizes
   // this self-transitive shape and answers it by reachability instead of
   // clause recursion.
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.sub_class_of), V(1)},
-      {GoalAtom{V(0), C(v.sub_class_of), V(2)},
-       GoalAtom{V(2), C(v.sub_class_of), V(1)}}}});
-}
-
-void ScmScoRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p != v_.sub_class_of) continue;
-    // t as left antecedent <c1 sc c2>: extend to the right.
-    store.ForEachObject(v_.sub_class_of, t.o, [&](TermId c3) {
-      out->push_back(Triple(t.s, v_.sub_class_of, c3));
-    });
-    // t as right antecedent <c2 sc c3>: extend to the left.
-    store.ForEachSubject(v_.sub_class_of, t.s, [&](TermId c1) {
-      out->push_back(Triple(c1, v_.sub_class_of, t.o));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SCM-SPO
-// ---------------------------------------------------------------------------
-
-ScmSpoRule::ScmSpoRule(const Vocabulary& v)
-    : RuleBase("SCM-SPO",
-               "<p1 subPropertyOf p2> ^ <p2 subPropertyOf p3> -> "
-               "<p1 subPropertyOf p3>",
-               {v.sub_property_of}, {v.sub_property_of}),
-      v_(v) {
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.sub_property_of), V(1)},
-      {GoalAtom{V(0), C(v.sub_property_of), V(2)},
-       GoalAtom{V(2), C(v.sub_property_of), V(1)}}}});
-}
-
-void ScmSpoRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p != v_.sub_property_of) continue;
-    store.ForEachObject(v_.sub_property_of, t.o, [&](TermId p3) {
-      out->push_back(Triple(t.s, v_.sub_property_of, p3));
-    });
-    store.ForEachSubject(v_.sub_property_of, t.s, [&](TermId p1) {
-      out->push_back(Triple(p1, v_.sub_property_of, t.o));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PRP-SPO1
-// ---------------------------------------------------------------------------
-
-PrpSpo1Rule::PrpSpo1Rule(const Vocabulary& v)
-    : RuleBase("PRP-SPO1", "<p1 subPropertyOf p2> ^ <x p1 y> -> <x p2 y>",
-               /*inputs=*/{}, /*outputs=*/{}, /*outputs_any=*/true),
-      v_(v) {
-  // head <x p2 y>  ⇐  <p1 spo p2> ∧ <x p1 y>. The head predicate is a
-  // variable (the rule emits arbitrary predicates), bound through the
-  // subPropertyOf meta-edge of the first body atom.
-  SetClauses({GoalClause{
-      GoalAtom{V(0), V(1), V(2)},
-      {GoalAtom{V(3), C(v.sub_property_of), V(1)},
-       GoalAtom{V(0), V(3), V(2)}}}});
-}
-
-void PrpSpo1Rule::Apply(const TripleVec& delta, const StoreView& store,
-                        TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.sub_property_of) {
-      // t = <p1 subPropertyOf p2>: rewrite every stored <x p1 y>.
-      store.ForEachWithPredicate(t.s, [&](TermId x, TermId y) {
-        out->push_back(Triple(x, t.o, y));
-      });
-    }
-    // t = <x p1 y> for any p1 (including subPropertyOf itself, which is a
-    // property like any other): look up super-properties of p1.
-    store.ForEachObject(v_.sub_property_of, t.p, [&](TermId p2) {
-      out->push_back(Triple(t.s, p2, t.o));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PRP-DOM
-// ---------------------------------------------------------------------------
-
-PrpDomRule::PrpDomRule(const Vocabulary& v)
-    : RuleBase("PRP-DOM", "<p domain c> ^ <x p y> -> <x type c>",
-               /*inputs=*/{}, {v.type}),
-      v_(v) {
+  f.AddRule(MakeRule(
+      "SCM-SCO",
+      "<c1 subClassOf c2> ^ <c2 subClassOf c3> -> <c1 subClassOf c3>",
+      {{{V(0), C(v.sub_class_of), V(1)},
+        {{V(0), C(v.sub_class_of), V(2)},
+         {V(2), C(v.sub_class_of), V(1)}}}}));
+  f.AddRule(MakeRule("SCM-SPO",
+                     "<p1 subPropertyOf p2> ^ <p2 subPropertyOf p3> -> "
+                     "<p1 subPropertyOf p3>",
+                     {{{V(0), C(v.sub_property_of), V(1)},
+                       {{V(0), C(v.sub_property_of), V(2)},
+                        {V(2), C(v.sub_property_of), V(1)}}}}));
+  // The paper's Algorithm 1: head <x type c2>  ⇐  <c1 sco c2> ∧ <x type c1>.
+  f.AddRule(MakeRule("CAX-SCO",
+                     "<c1 subClassOf c2> ^ <x type c1> -> <x type c2>",
+                     {{{V(0), C(v.type), V(1)},
+                       {{V(2), C(v.sub_class_of), V(1)},
+                        {V(0), C(v.type), V(2)}}}}));
+  // head <x p2 y>  ⇐  <p1 spo p2> ∧ <x p1 y>. The variable predicate makes
+  // the input universal and the output any predicate; subPropertyOf itself
+  // is a property like any other.
+  f.AddRule(MakeRule("PRP-SPO1",
+                     "<p1 subPropertyOf p2> ^ <x p1 y> -> <x p2 y>",
+                     {{{V(0), V(1), V(2)},
+                       {{V(3), C(v.sub_property_of), V(1)},
+                        {V(0), V(3), V(2)}}}}));
   // head <x type c>  ⇐  <p domain c> ∧ <x p y>; y is a don't-care.
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.type), V(1)},
-      {GoalAtom{V(2), C(v.domain), V(1)},
-       GoalAtom{V(0), V(2), V(3)}}}});
-}
-
-void PrpDomRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.domain) {
-      // t = <p domain c>: type every stored subject of p.
-      store.ForEachWithPredicate(t.s, [&](TermId x, TermId /*y*/) {
-        out->push_back(Triple(x, v_.type, t.o));
-      });
-    }
-    // t = <x p y>: look up the domains of p.
-    store.ForEachObject(v_.domain, t.p, [&](TermId c) {
-      out->push_back(Triple(t.s, v_.type, c));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PRP-RNG
-// ---------------------------------------------------------------------------
-
-PrpRngRule::PrpRngRule(const Vocabulary& v)
-    : RuleBase("PRP-RNG", "<p range c> ^ <x p y> -> <y type c>",
-               /*inputs=*/{}, {v.type}),
-      v_(v) {
+  f.AddRule(MakeRule("PRP-DOM", "<p domain c> ^ <x p y> -> <x type c>",
+                     {{{V(0), C(v.type), V(1)},
+                       {{V(2), C(v.domain), V(1)}, {V(0), V(2), V(3)}}}}));
   // head <y type c>  ⇐  <p range c> ∧ <x p y>; x is a don't-care.
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.type), V(1)},
-      {GoalAtom{V(2), C(v.range), V(1)},
-       GoalAtom{V(3), V(2), V(0)}}}});
-}
-
-void PrpRngRule::Apply(const TripleVec& delta, const StoreView& store,
-                       TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.range) {
-      store.ForEachWithPredicate(t.s, [&](TermId /*x*/, TermId y) {
-        out->push_back(Triple(y, v_.type, t.o));
-      });
-    }
-    store.ForEachObject(v_.range, t.p, [&](TermId c) {
-      out->push_back(Triple(t.o, v_.type, c));
-    });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SCM-DOM2
-// ---------------------------------------------------------------------------
-
-ScmDom2Rule::ScmDom2Rule(const Vocabulary& v)
-    : RuleBase("SCM-DOM2",
-               "<p2 domain c> ^ <p1 subPropertyOf p2> -> <p1 domain c>",
-               {v.domain, v.sub_property_of}, {v.domain}),
-      v_(v) {
+  f.AddRule(MakeRule("PRP-RNG", "<p range c> ^ <x p y> -> <y type c>",
+                     {{{V(0), C(v.type), V(1)},
+                       {{V(2), C(v.range), V(1)}, {V(3), V(2), V(0)}}}}));
   // head <p1 domain c>  ⇐  <p1 spo p2> ∧ <p2 domain c>
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.domain), V(1)},
-      {GoalAtom{V(0), C(v.sub_property_of), V(2)},
-       GoalAtom{V(2), C(v.domain), V(1)}}}});
-}
-
-void ScmDom2Rule::Apply(const TripleVec& delta, const StoreView& store,
-                        TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.domain) {
-      // t = <p2 domain c>: propagate to stored sub-properties of p2.
-      store.ForEachSubject(v_.sub_property_of, t.s, [&](TermId p1) {
-        out->push_back(Triple(p1, v_.domain, t.o));
-      });
-    } else if (t.p == v_.sub_property_of) {
-      // t = <p1 subPropertyOf p2>: inherit stored domains of p2.
-      store.ForEachObject(v_.domain, t.o, [&](TermId c) {
-        out->push_back(Triple(t.s, v_.domain, c));
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SCM-RNG2
-// ---------------------------------------------------------------------------
-
-ScmRng2Rule::ScmRng2Rule(const Vocabulary& v)
-    : RuleBase("SCM-RNG2",
-               "<p2 range c> ^ <p1 subPropertyOf p2> -> <p1 range c>",
-               {v.range, v.sub_property_of}, {v.range}),
-      v_(v) {
-  SetClauses({GoalClause{
-      GoalAtom{V(0), C(v.range), V(1)},
-      {GoalAtom{V(0), C(v.sub_property_of), V(2)},
-       GoalAtom{V(2), C(v.range), V(1)}}}});
-}
-
-void ScmRng2Rule::Apply(const TripleVec& delta, const StoreView& store,
-                        TripleVec* out) const {
-  for (const Triple& t : delta) {
-    if (t.p == v_.range) {
-      store.ForEachSubject(v_.sub_property_of, t.s, [&](TermId p1) {
-        out->push_back(Triple(p1, v_.range, t.o));
-      });
-    } else if (t.p == v_.sub_property_of) {
-      store.ForEachObject(v_.range, t.o, [&](TermId c) {
-        out->push_back(Triple(t.s, v_.range, c));
-      });
-    }
-  }
+  f.AddRule(MakeRule(
+      "SCM-DOM2", "<p2 domain c> ^ <p1 subPropertyOf p2> -> <p1 domain c>",
+      {{{V(0), C(v.domain), V(1)},
+        {{V(0), C(v.sub_property_of), V(2)}, {V(2), C(v.domain), V(1)}}}}));
+  f.AddRule(MakeRule(
+      "SCM-RNG2", "<p2 range c> ^ <p1 subPropertyOf p2> -> <p1 range c>",
+      {{{V(0), C(v.range), V(1)},
+        {{V(0), C(v.sub_property_of), V(2)}, {V(2), C(v.range), V(1)}}}}));
+  return f;
 }
 
 }  // namespace slider

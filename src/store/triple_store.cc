@@ -42,7 +42,7 @@ bool TripleStore::Add(const Triple& t, bool is_explicit) {
 }
 
 size_t TripleStore::AddAll(const TripleVec& batch, TripleVec* delta,
-                           bool is_explicit, size_t* promoted) {
+                           bool is_explicit, TripleVec* promoted) {
   size_t added = 0;
   size_t current = static_cast<size_t>(-1);
   std::unique_lock<std::mutex> lock;
@@ -63,7 +63,7 @@ size_t TripleStore::AddAll(const TripleVec& batch, TripleVec* delta,
 }
 
 bool TripleStore::AddLocked(Shard& shard, const Triple& t, bool is_explicit,
-                            size_t* promoted) {
+                            TripleVec* promoted) {
   shard.stats.insert_attempts.fetch_add(1, std::memory_order_relaxed);
   Partition* partition = shard.partitions.FindWriter(t.p);
   if (partition == nullptr) {
@@ -80,7 +80,7 @@ bool TripleStore::AddLocked(Shard& shard, const Triple& t, bool is_explicit,
     shard.stats.duplicates_rejected.fetch_add(1, std::memory_order_relaxed);
     if (result == LfRow::InsertResult::kPromoted) {
       shard.explicit_triples.fetch_add(1, std::memory_order_relaxed);
-      if (promoted != nullptr) ++*promoted;
+      if (promoted != nullptr) promoted->push_back(t);
     }
     return false;
   }

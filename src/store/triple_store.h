@@ -119,11 +119,11 @@ class TripleStore {
   /// Inserts a batch; newly added triples are appended to `*delta` when
   /// `delta` is non-null, in batch order. Returns the number of newly added
   /// triples. Duplicate offers with `is_explicit` that promoted an inferred
-  /// entry to explicit support are counted into `*promoted` when non-null.
+  /// entry to explicit support are appended to `*promoted` when non-null.
   /// The shard writer lock is held across runs of same-shard triples, so
   /// predicate-clustered batches pay one acquisition per run.
   size_t AddAll(const TripleVec& batch, TripleVec* delta = nullptr,
-                bool is_explicit = true, size_t* promoted = nullptr);
+                bool is_explicit = true, TripleVec* promoted = nullptr);
 
   /// Removes one triple (any support). Returns true iff it was present.
   bool Erase(const Triple& t);
@@ -297,10 +297,10 @@ class TripleStore {
   const Shard& ShardFor(TermId p) const { return shards_[ShardIndex(p)]; }
 
   /// Inserts into `shard`; caller holds that shard's writer mutex.
-  /// `*promoted` (when non-null) is incremented if a duplicate explicit
+  /// `t` is appended to `*promoted` (when non-null) if a duplicate explicit
   /// offer promoted an inferred entry.
   bool AddLocked(Shard& shard, const Triple& t, bool is_explicit,
-                 size_t* promoted);
+                 TripleVec* promoted);
 
   /// Erases from `shard`; caller holds that shard's writer mutex.
   bool EraseLocked(Shard& shard, const Triple& t);

@@ -135,30 +135,13 @@ TEST_F(DependencyGraphTest, CustomFragmentGetsDerivedGraph) {
   // A custom fragment with a single transitivity rule over a user property
   // must yield exactly the self-edge.
   Fragment f("custom");
-  class PartOfTransitivity : public RuleBase {
-   public:
-    explicit PartOfTransitivity(TermId part_of)
-        : RuleBase("PART-OF-TRANS", "<a partOf b> ^ <b partOf c> -> <a partOf c>",
-                   {part_of}, {part_of}),
-          part_of_(part_of) {}
-    void Apply(const TripleVec& delta, const StoreView& store,
-               TripleVec* out) const override {
-      for (const Triple& t : delta) {
-        if (t.p != part_of_) continue;
-        store.ForEachObject(part_of_, t.o, [&](TermId c) {
-          out->push_back(Triple(t.s, part_of_, c));
-        });
-        store.ForEachSubject(part_of_, t.s, [&](TermId a) {
-          out->push_back(Triple(a, part_of_, t.o));
-        });
-      }
-    }
-
-   private:
-    TermId part_of_;
-  };
   const TermId part_of = dict_.Encode("<http://example.org/partOf>");
-  f.AddRule(std::make_shared<PartOfTransitivity>(part_of));
+  const GoalTerm p = GoalTerm::Const(part_of);
+  const GoalTerm a = GoalTerm::Var(0), b = GoalTerm::Var(1),
+                 c = GoalTerm::Var(2);
+  f.AddRule(MakeRule("PART-OF-TRANS",
+                     "<a partOf b> ^ <b partOf c> -> <a partOf c>",
+                     {{{a, p, c}, {{a, p, b}, {b, p, c}}}}));
   DependencyGraph g = DependencyGraph::Build(f);
   EXPECT_EQ(g.num_rules(), 1u);
   EXPECT_TRUE(g.HasEdge(0, 0));

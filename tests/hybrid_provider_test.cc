@@ -1,8 +1,6 @@
 // Unit tests for the hybrid answering stack's routing layer:
-// BackwardCoverable's every-rule-declares-clauses gate, the per-pattern
-// BackwardCapability model, the Repository's coverage check at
-// Open/Recover, HybridProvider's route decisions (the capability →
-// completeness → cost cascade), the structural-delta route-memo flush,
+// HybridProvider's route decisions (the completeness → cost cascade), the
+// structural-delta route-memo flush,
 // the per-route latency EWMAs behind route_stats(), and the endpoint's
 // per-pattern route recording in cached plans (PlanEntry::routes /
 // CachedRoutes).
@@ -16,7 +14,6 @@
 #include "query/endpoint.h"
 #include "query/hybrid.h"
 #include "reason/repository.h"
-#include "reason/rules_owl.h"
 
 namespace slider {
 namespace {
@@ -28,81 +25,6 @@ Repository::Options WithMode(Repository::InferenceMode mode) {
   Repository::Options options;
   options.inference = mode;
   return options;
-}
-
-/// A rule that declares no Horn clauses: the chainer cannot answer its
-/// heads, so it poisons backward coverage for its output predicates.
-class ClauselessRule : public RuleBase {
- public:
-  ClauselessRule(TermId output, bool outputs_any)
-      : RuleBase("CUSTOM-NOCLAUSE", "<opaque custom rule>", /*inputs=*/{},
-                 output == kAnyTerm ? std::vector<TermId>{}
-                                    : std::vector<TermId>{output},
-                 outputs_any) {}
-  void Apply(const TripleVec&, const StoreView&, TripleVec*) const override {}
-};
-
-FragmentFactory UncoverableFactory() {
-  return [](const Vocabulary& v, Dictionary* dict) {
-    Fragment f = Fragment::RhoDf(v);
-    f.AddRule(std::make_shared<ClauselessRule>(
-        dict->Encode("<http://r/opaque>"), /*outputs_any=*/false));
-    return f;
-  };
-}
-
-TEST(BackwardCoverableTest, AllShippedFragmentsAreCoverable) {
-  Dictionary dict;
-  const Vocabulary v = Vocabulary::Register(&dict);
-  // Every shipped rule declares clauses, so all shipped fragments are
-  // chainer-coverable — this is what opens kOnDemand/kHybrid beyond ρdf.
-  EXPECT_TRUE(BackwardCoverable(RhoDfFactory()(v, &dict)));
-  EXPECT_TRUE(BackwardCoverable(RdfsFactory()(v, &dict)));
-  EXPECT_TRUE(BackwardCoverable(RdfsFactory(/*include_rdfs4=*/true)(v, &dict)));
-  EXPECT_TRUE(BackwardCoverable(OwlLiteFactory()(v, &dict)));
-  // A fragment mixing in a clause-less rule is not.
-  EXPECT_FALSE(BackwardCoverable(UncoverableFactory()(v, &dict)));
-}
-
-TEST(BackwardCoverableTest, OpenAcceptsShippedFragmentsRejectsClauseless) {
-  for (const auto mode : {Repository::InferenceMode::kOnDemand,
-                          Repository::InferenceMode::kHybrid}) {
-    auto rejected = Repository::Open(UncoverableFactory(), WithMode(mode));
-    EXPECT_FALSE(rejected.ok());
-    for (const FragmentFactory& factory :
-         {RhoDfFactory(), RdfsFactory(), OwlLiteFactory()}) {
-      auto accepted = Repository::Open(factory, WithMode(mode));
-      EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
-    }
-  }
-}
-
-TEST(BackwardCapabilityTest, PerPredicateVerdicts) {
-  Dictionary dict;
-  const Vocabulary v = Vocabulary::Register(&dict);
-  const TermId opaque = dict.Encode("<http://r/opaque>");
-
-  std::vector<RulePtr> covered = Fragment::RhoDf(v).rules();
-  const BackwardCapability all(covered);
-  EXPECT_TRUE(all.CoversAll());
-  EXPECT_TRUE(all.Covers(opaque));
-  EXPECT_TRUE(all.Covers(kAnyTerm));
-
-  std::vector<RulePtr> mixed = covered;
-  mixed.push_back(
-      std::make_shared<ClauselessRule>(opaque, /*outputs_any=*/false));
-  const BackwardCapability partial(mixed);
-  EXPECT_FALSE(partial.CoversAll());
-  EXPECT_FALSE(partial.Covers(opaque));
-  EXPECT_TRUE(partial.Covers(v.type));
-  EXPECT_FALSE(partial.Covers(kAnyTerm));  // the wildcard asks about all
-
-  std::vector<RulePtr> poisoned = covered;
-  poisoned.push_back(
-      std::make_shared<ClauselessRule>(kAnyTerm, /*outputs_any=*/true));
-  const BackwardCapability none(poisoned);
-  EXPECT_FALSE(none.Covers(v.type));
-  EXPECT_FALSE(none.Covers(opaque));
 }
 
 class HybridRoutingTest : public ::testing::Test {
@@ -201,37 +123,6 @@ TEST_F(HybridRoutingTest, FullyMaterializedOptionForcesForward) {
   EXPECT_EQ(provider.RouteFor({kAnyTerm, folded_, kAnyTerm}),
             HybridProvider::Route::kForward);
   EXPECT_EQ(provider.RouteFor({x_, v.type, kAnyTerm}),
-            HybridProvider::Route::kForward);
-}
-
-TEST_F(HybridRoutingTest, CapabilityPinsOnlyUncoveredHeadsForward) {
-  // ρdf plus one clause-less rule producing `opaque`: exactly the opaque
-  // patterns pin forward; everything the clauses cover stays cost-routed.
-  const Vocabulary& v = repo_->vocabulary();
-  const TermId opaque = repo_->dictionary()->Encode("<http://r/opaque>");
-  std::vector<RulePtr> rules = Fragment::RhoDf(v).rules();
-  rules.push_back(
-      std::make_shared<ClauselessRule>(opaque, /*outputs_any=*/false));
-  HybridProvider provider(&repo_->store(), v, rules);
-  EXPECT_FALSE(provider.capability().Covers(opaque));
-  EXPECT_TRUE(provider.capability().Covers(folded_));
-  EXPECT_EQ(provider.RouteFor({kAnyTerm, opaque, kAnyTerm}),
-            HybridProvider::Route::kForward);
-  EXPECT_EQ(provider.RouteFor({kAnyTerm, folded_, kAnyTerm}),
-            HybridProvider::Route::kBackward);
-}
-
-TEST_F(HybridRoutingTest, UncoveredAnyHeadPinsEveryPatternForward) {
-  // A clause-less rule that emits arbitrary predicates leaves no pattern
-  // backward-answerable.
-  const Vocabulary& v = repo_->vocabulary();
-  std::vector<RulePtr> rules = Fragment::RhoDf(v).rules();
-  rules.push_back(
-      std::make_shared<ClauselessRule>(kAnyTerm, /*outputs_any=*/true));
-  HybridProvider provider(&repo_->store(), v, rules);
-  EXPECT_EQ(provider.RouteFor({kAnyTerm, folded_, kAnyTerm}),
-            HybridProvider::Route::kForward);
-  EXPECT_EQ(provider.RouteFor({kAnyTerm, v.sub_class_of, kAnyTerm}),
             HybridProvider::Route::kForward);
 }
 

@@ -185,6 +185,91 @@ TEST(RepositoryRetractTest, BatchRecoverKeepsADerivableVictimInferred) {
   }
 }
 
+// The two support-flag probes: a flag flip the log misses shows only after
+// Recover, when a later retraction reads the wrong flag. Every mode must
+// journal its flips (the incremental engine's promotions and counting
+// fast-path demotions included).
+constexpr Repository::InferenceMode kAllModes[] = {
+    Repository::InferenceMode::kStatementAtATime,
+    Repository::InferenceMode::kSemiNaive,
+    Repository::InferenceMode::kIncremental,
+    Repository::InferenceMode::kOnDemand,
+    Repository::InferenceMode::kHybrid};
+
+Repository::Options FlagProbeOptions(const std::string& dir,
+                                     Repository::InferenceMode mode) {
+  Repository::Options options;
+  options.storage_dir = dir;
+  options.inference = mode;
+  options.log_flush_interval = 1;
+  return options;
+}
+
+TEST(RepositoryRetractTest, RecoverKeepsAPromotedAssertion) {
+  // Lost assertion: asserting an inferred statement promotes it. After
+  // Recover it must still be asserted, so retracting its support keeps it.
+  for (const auto mode : kAllModes) {
+    const std::string dir = FreshDir("repo_retract_promote");
+    const Repository::Options options = FlagProbeOptions(dir, mode);
+    Triple x_a, x_b;
+    {
+      auto repo = Repository::Open(RdfsFactory(), options);
+      ASSERT_TRUE(repo.ok());
+      Dictionary* dict = (*repo)->dictionary();
+      const Vocabulary& v = (*repo)->vocabulary();
+      const TermId a = dict->Encode("<http://ex/A>");
+      const TermId b = dict->Encode("<http://ex/B>");
+      const TermId x = dict->Encode("<http://ex/x>");
+      x_a = {x, v.type, a};
+      x_b = {x, v.type, b};
+      ASSERT_TRUE((*repo)->AddTriples({{a, v.sub_class_of, b}}).ok());
+      ASSERT_TRUE((*repo)->AddTriples({x_a}).ok());
+      ASSERT_TRUE((*repo)->AddTriples({x_b}).ok());
+      ASSERT_TRUE((*repo)->store().IsExplicit(x_b));
+    }
+    auto recovered = Repository::Recover(RdfsFactory(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE((*recovered)->store().IsExplicit(x_b))
+        << "mode " << static_cast<int>(mode);
+    ASSERT_TRUE((*recovered)->RemoveTriples({x_a}).ok());
+    EXPECT_TRUE((*recovered)->store().IsExplicit(x_b))
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(RepositoryRetractTest, RecoverKeepsARetractedAssertionRetracted) {
+  // Resurrected assertion: retracting a statement that is still derivable
+  // demotes it. After Recover it must stay inferred, so it goes with its
+  // last support.
+  for (const auto mode : kAllModes) {
+    const std::string dir = FreshDir("repo_retract_resurrect");
+    const Repository::Options options = FlagProbeOptions(dir, mode);
+    Triple x_a, x_b;
+    {
+      auto repo = Repository::Open(RdfsFactory(), options);
+      ASSERT_TRUE(repo.ok());
+      Dictionary* dict = (*repo)->dictionary();
+      const Vocabulary& v = (*repo)->vocabulary();
+      const TermId a = dict->Encode("<http://ex/A>");
+      const TermId b = dict->Encode("<http://ex/B>");
+      const TermId x = dict->Encode("<http://ex/x>");
+      x_a = {x, v.type, a};
+      x_b = {x, v.type, b};
+      ASSERT_TRUE((*repo)->AddTriples({x_b}).ok());
+      ASSERT_TRUE((*repo)->AddTriples({{a, v.sub_class_of, b}, x_a}).ok());
+      ASSERT_TRUE((*repo)->RemoveTriples({x_b}).ok());
+      ASSERT_FALSE((*repo)->store().IsExplicit(x_b));
+    }
+    auto recovered = Repository::Recover(RdfsFactory(), options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_FALSE((*recovered)->store().IsExplicit(x_b))
+        << "mode " << static_cast<int>(mode);
+    ASSERT_TRUE((*recovered)->RemoveTriples({x_a}).ok());
+    EXPECT_FALSE((*recovered)->store().Contains(x_b))
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
 TEST(RepositoryRetractTest, RecoverHandlesLegacyLogWithoutTombstones) {
   // A repository that never deleted writes a log indistinguishable from the
   // pre-tombstone format; Recover must replay it as pure additions.

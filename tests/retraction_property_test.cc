@@ -255,210 +255,6 @@ TEST(RetractionCountingTest, CountingOnAndOffConvergeToTheSameClosure) {
 }
 
 // ---------------------------------------------------------------------------
-// Fallback rederivation: custom rules that do not implement CanDerive must
-// still retract correctly through the neighborhood re-seeding path.
-// ---------------------------------------------------------------------------
-
-/// Forwards everything to a wrapped rule but reports no rederive check,
-/// modelling a third-party Rule written before (or without) deletion mode.
-class NoCheckRule : public Rule {
- public:
-  explicit NoCheckRule(RulePtr inner) : inner_(std::move(inner)) {}
-  const std::string& name() const override { return inner_->name(); }
-  std::string Definition() const override { return inner_->Definition(); }
-  const std::vector<TermId>& InputPredicates() const override {
-    return inner_->InputPredicates();
-  }
-  const std::vector<TermId>& OutputPredicates() const override {
-    return inner_->OutputPredicates();
-  }
-  bool OutputsAnyPredicate() const override {
-    return inner_->OutputsAnyPredicate();
-  }
-  void Apply(const TripleVec& delta, const StoreView& store,
-             TripleVec* out) const override {
-    inner_->Apply(delta, store, out);
-  }
-  // No clauses declared, so SupportsBackward() stays false: the reasoner
-  // must fall back.
-
- private:
-  RulePtr inner_;
-};
-
-FragmentFactory NoCheckRhoDfFactory() {
-  return [](const Vocabulary& v, Dictionary* /*dict*/) {
-    Fragment base = Fragment::RhoDf(v);
-    Fragment f("rhodf-nocheck");
-    for (const RulePtr& rule : base.rules()) {
-      f.AddRule(std::make_shared<NoCheckRule>(rule));
-    }
-    return f;
-  };
-}
-
-TEST(RetractionFallbackTest, StillDerivableVictimSurvivesViaSeeding) {
-  Reasoner r(NoCheckRhoDfFactory(), SerialOptions());
-  Dictionary* d = r.dictionary();
-  const Vocabulary& v = r.vocabulary();
-  const TermId a = d->Encode("<a>"), b = d->Encode("<b>"),
-               c = d->Encode("<c>");
-  r.AddTriples({{a, v.sub_class_of, b}, {b, v.sub_class_of, c},
-                {a, v.sub_class_of, c}});
-  r.Flush();
-  const Reasoner::RetractStats stats =
-      r.RetractTriple({a, v.sub_class_of, c});
-  EXPECT_GT(stats.rederive_seeds, 0u);  // the fallback path actually ran
-  EXPECT_EQ(stats.rederive_checks, 0u);
-  EXPECT_TRUE(r.store().Contains({a, v.sub_class_of, c}));
-  EXPECT_FALSE(r.store().IsExplicit({a, v.sub_class_of, c}));
-  r.RetractTriple({b, v.sub_class_of, c});
-  EXPECT_FALSE(r.store().Contains({a, v.sub_class_of, c}));
-}
-
-FragmentFactory MixedRdfsFactory() {
-  // RDFS with exactly one rule (SCM-SCO) stripped of its rederive check:
-  // the reasoner must drive the checked fixpoint and the fallback seeding
-  // to a *joint* fixpoint, in either dependency direction.
-  return [](const Vocabulary& v, Dictionary* /*dict*/) {
-    Fragment base = Fragment::Rdfs(v);
-    Fragment f("rdfs-mixed");
-    for (const RulePtr& rule : base.rules()) {
-      if (rule->name() == "SCM-SCO") {
-        f.AddRule(std::make_shared<NoCheckRule>(rule));
-      } else {
-        f.AddRule(rule);
-      }
-    }
-    return f;
-  };
-}
-
-TEST(RetractionFallbackTest, MixedFragmentReachesJointFixpoint) {
-  // Regression: a check-less rule's consequence whose antecedent is only
-  // restored by the *checked* fixpoint (here: RDFS8 rederives
-  // <c sco Resource>, which SCM-SCO needs for <c sco Thing>) must come
-  // back, which requires alternating the two mechanisms.
-  Reasoner r(MixedRdfsFactory(), SerialOptions());
-  Dictionary* d = r.dictionary();
-  const Vocabulary& v = r.vocabulary();
-  const TermId c = d->Encode("<c>");
-  const TermId thing = d->Encode("<Thing>");
-  r.AddTriples({{c, v.type, v.rdfs_class},
-                {v.resource, v.sub_class_of, thing},
-                {c, v.sub_class_of, v.resource}});
-  r.Flush();
-  ASSERT_TRUE(r.store().Contains({c, v.sub_class_of, thing}));
-
-  r.RetractTriple({c, v.sub_class_of, v.resource});
-  // RDFS8 (<c type Class> -> <c sco Resource>) restores the victim as
-  // inferred; SCM-SCO must then restore <c sco Thing> via the fallback.
-  EXPECT_TRUE(r.store().Contains({c, v.sub_class_of, v.resource}));
-  EXPECT_FALSE(r.store().IsExplicit({c, v.sub_class_of, v.resource}));
-  EXPECT_TRUE(r.store().Contains({c, v.sub_class_of, thing}));
-
-  // The closure must equal the from-scratch closure of the survivors.
-  Dictionary odict;
-  const Vocabulary ov = Vocabulary::Register(&odict);
-  const TermId oc = odict.Encode("<c>");
-  const TermId othing = odict.Encode("<Thing>");
-  TripleStore ostore;
-  NaiveReasoner oracle_engine(Fragment::Rdfs(ov), &ostore);
-  oracle_engine.Materialize({{oc, ov.type, ov.rdfs_class},
-                             {ov.resource, ov.sub_class_of, othing}});
-  EXPECT_EQ(r.store().SnapshotSet(), ostore.SnapshotSet());
-}
-
-TEST(RetractionFallbackTest, MixedFragmentRandomInterleavingsMatchOracle) {
-  for (uint64_t seed = 100; seed < 108; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    ReasonerOptions options;
-    options.buffer_size = 1 + seed % 8;
-    options.num_threads = 1 + static_cast<int>(seed % 2);
-    options.enable_timeout_flusher = false;
-    Reasoner slider(MixedRdfsFactory(), options);
-    oracle::OntologyGen gen(seed, oracle::FragmentKind::kRdfs,
-                            slider.dictionary(), slider.vocabulary());
-    Random rng(seed * 6151);
-    TripleVec universe;
-    TripleSet alive;
-    while (universe.size() < 150) {
-      TripleVec batch;
-      if (universe.empty() || rng.Uniform(100) < 70) {
-        for (size_t i = 0; i < 20; ++i) {
-          const Triple t = gen.Next();
-          batch.push_back(t);
-          universe.push_back(t);
-          alive.insert(t);
-        }
-        slider.AddTriples(batch);
-      } else {
-        for (size_t i = 0; i < 6; ++i) {
-          batch.push_back(universe[rng.Uniform(universe.size())]);
-        }
-        for (const Triple& t : batch) alive.erase(t);
-        slider.Retract(batch);
-      }
-    }
-    slider.Flush();
-
-    Dictionary odict;
-    const Vocabulary ov = Vocabulary::Register(&odict);
-    TripleStore ostore;
-    NaiveReasoner oracle_engine(Fragment::Rdfs(ov), &ostore);
-    oracle_engine.Materialize(TripleVec(alive.begin(), alive.end()));
-    EXPECT_EQ(slider.store().SnapshotSet(), ostore.SnapshotSet());
-    EXPECT_EQ(slider.explicit_count(), alive.size());
-  }
-}
-
-TEST(RetractionFallbackTest, RandomInterleavingsMatchOracle) {
-  // The harness cannot be reused directly (it picks shipped factories), so
-  // drive the same shape by hand: random add/retract against the no-check
-  // fragment, oracle closure from the surviving explicit set.
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    ReasonerOptions options;
-    options.buffer_size = 1 + seed % 16;
-    options.num_threads = 1 + static_cast<int>(seed % 3);
-    options.enable_timeout_flusher = false;
-    Reasoner slider(NoCheckRhoDfFactory(), options);
-    oracle::OntologyGen gen(seed, oracle::FragmentKind::kRhoDf,
-                            slider.dictionary(), slider.vocabulary());
-    Random rng(seed * 7919);
-    TripleVec universe;
-    TripleSet alive;
-    while (universe.size() < 150) {
-      TripleVec batch;
-      if (universe.empty() || rng.Uniform(100) < 70) {
-        for (size_t i = 0; i < 20; ++i) {
-          const Triple t = gen.Next();
-          batch.push_back(t);
-          universe.push_back(t);
-          alive.insert(t);
-        }
-        slider.AddTriples(batch);
-      } else {
-        for (size_t i = 0; i < 6; ++i) {
-          batch.push_back(universe[rng.Uniform(universe.size())]);
-        }
-        for (const Triple& t : batch) alive.erase(t);
-        slider.Retract(batch);
-      }
-    }
-    slider.Flush();
-
-    Dictionary odict;
-    const Vocabulary ov = Vocabulary::Register(&odict);
-    TripleStore ostore;
-    NaiveReasoner oracle_engine(Fragment::RhoDf(ov), &ostore);
-    oracle_engine.Materialize(TripleVec(alive.begin(), alive.end()));
-    EXPECT_EQ(slider.store().SnapshotSet(), ostore.SnapshotSet());
-    EXPECT_EQ(slider.explicit_count(), alive.size());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Randomized closure-oracle sweep: 200+ seeded add/retract interleavings per
 // fragment, across buffer sizes, timeouts and thread counts. Failures print
 // the seed (SCOPED_TRACE in the harness) so runs reproduce exactly.

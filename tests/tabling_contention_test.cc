@@ -242,7 +242,6 @@ TEST(TablingContentionTest, OwlRuleSetSelectsRunAgainstAddRetractSessions) {
   EXPECT_EQ(repo->inferred_count(), 0u);
   const HybridProvider* hybrid = repo->hybrid_provider();
   ASSERT_NE(hybrid, nullptr);
-  EXPECT_TRUE(hybrid->capability().CoversAll());
   EXPECT_GT(hybrid->tables().stats().misses, 0u);
   EXPECT_GT(hybrid->tables().generation(), 0u);
   EXPECT_GT(hybrid->route_stats().backward, 0u);

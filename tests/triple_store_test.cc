@@ -225,12 +225,12 @@ TEST(TripleStoreTest, SupportFlagsTrackExplicitPopulation) {
   EXPECT_FALSE(store.IsExplicit({9, 9, 9}));
   EXPECT_EQ(store.ExplicitCount(), 1u);
 
-  // Duplicate explicit offer promotes; the promotion is countable.
-  size_t promoted = 0;
+  // Duplicate explicit offer promotes; the promoted triple is reported.
+  TripleVec promoted;
   EXPECT_EQ(store.AddAll({{1, 2, 4}}, nullptr, /*is_explicit=*/true,
                          &promoted),
             0u);
-  EXPECT_EQ(promoted, 1u);
+  EXPECT_EQ(promoted, (TripleVec{{1, 2, 4}}));
   EXPECT_TRUE(store.IsExplicit({1, 2, 4}));
   EXPECT_EQ(store.ExplicitCount(), 2u);
   // An inferred re-offer never demotes.
