@@ -32,17 +32,24 @@ void SyncParentDir(const std::string& path) {
 }  // namespace
 
 Status AtomicWriteFile(const std::string& path, std::string_view contents) {
+  return AtomicWriteFile(path, {contents});
+}
+
+Status AtomicWriteFile(const std::string& path,
+                       std::initializer_list<std::string_view> parts) {
   const std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
     return Status::IOError(Format("cannot write '%s'", tmp.c_str()));
   }
-  if (!contents.empty() &&
-      std::fwrite(contents.data(), 1, contents.size(), file) !=
-          contents.size()) {
-    std::fclose(file);
-    std::remove(tmp.c_str());
-    return Status::IOError(Format("short write on '%s'", tmp.c_str()));
+  for (const std::string_view contents : parts) {
+    if (!contents.empty() &&
+        std::fwrite(contents.data(), 1, contents.size(), file) !=
+            contents.size()) {
+      std::fclose(file);
+      std::remove(tmp.c_str());
+      return Status::IOError(Format("short write on '%s'", tmp.c_str()));
+    }
   }
   if (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0) {
     std::fclose(file);

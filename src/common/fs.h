@@ -1,6 +1,7 @@
 #ifndef SLIDER_COMMON_FS_H_
 #define SLIDER_COMMON_FS_H_
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -18,6 +19,11 @@ namespace slider {
 /// the rename itself is durable. A crash at any point leaves either the
 /// complete old file or the complete new one — never a torn mixture.
 Status AtomicWriteFile(const std::string& path, std::string_view contents);
+
+/// AtomicWriteFile of the concatenation of `parts`, written in order, so a
+/// caller that builds a header after its body need not join them first.
+Status AtomicWriteFile(const std::string& path,
+                       std::initializer_list<std::string_view> parts);
 
 /// Reads the whole file into a string. IOError if it cannot be opened.
 Result<std::string> ReadFileToString(const std::string& path);

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -35,6 +36,9 @@ Result<int> Connect(const std::string& host, uint16_t port, int timeout_ms) {
   tv.tv_usec = (timeout_ms % 1000) * 1000;
   setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  // Requests go out in one send(); Nagle could only delay them.
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -163,6 +163,10 @@ void SparqlHttpServer::AcceptLoop() {
       break;  // listener gone
     }
     SetSocketTimeouts(fd, options_.recv_timeout_ms, options_.send_timeout_ms);
+    // Responses leave in whole writes, so Nagle has nothing to coalesce and
+    // would only hold a response's tail for the peer's delayed ACK.
+    const int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (!pending_.TryPush(fd)) {
       // Saturated: every worker busy and the backlog full. Shed load now —
       // a canned 503 with Retry-After, no request read.
@@ -306,25 +310,31 @@ bool SparqlHttpServer::ServeQuery(int fd, const std::string& query,
   }
   const std::string_view media = want_json ? kJsonMediaType : kTsvMediaType;
 
-  // The status line is written lazily, on the serializer's first byte:
-  // SelectStreaming guarantees parse/plan errors surface before any sink
-  // callback, so a failed parse still gets a clean 400 below.
+  // One buffer per response: the serializer output accumulates here and
+  // goes out one chunk per kFlushBytes, the first behind the response head
+  // and the remainder together with the last chunk, so a small result is a
+  // single send(). A send per row would let Nagle hold every segment after
+  // the first until the peer's delayed ACK, ~40 ms per response.
+  // SelectStreaming surfaces parse/plan errors before any sink callback, so
+  // nothing has been sent when one occurs and it still gets a clean 400.
+  constexpr size_t kFlushBytes = 16 * 1024;
+  std::string body;
   bool started = false;
   bool write_failed = false;
+  const auto send_chunk = [&](bool last) {
+    std::string frame =
+        started ? std::string() : ChunkedResponseHead(200, media, keep_alive);
+    started = true;
+    frame += EncodeChunk(body);
+    body.clear();
+    if (last) frame += kLastChunk;
+    if (!WriteAll(fd, frame)) write_failed = true;
+    return !write_failed;
+  };
   WriteFn sink_write = [&](std::string_view data) {
     if (write_failed) return false;
-    if (!started) {
-      started = true;
-      if (!WriteAll(fd, ChunkedResponseHead(200, media, keep_alive))) {
-        write_failed = true;
-        return false;
-      }
-    }
-    if (!WriteAll(fd, EncodeChunk(data))) {
-      write_failed = true;
-      return false;
-    }
-    return true;
+    body.append(data);
+    return body.size() < kFlushBytes || send_chunk(/*last=*/false);
   };
 
   const Dictionary* dict = endpoint_->repository()->dictionary();
@@ -340,25 +350,28 @@ bool SparqlHttpServer::ServeQuery(int fd, const std::string& query,
     finished = status.ok() && serializer.Finish();
   }
 
-  if (!status.ok()) {
-    // Nothing streamed yet (the error preceded the first sink callback):
-    // answer with a real error response.
+  if (!status.ok() && !started) {
+    // Nothing sent yet: answer with a real error response.
     client_errors_.fetch_add(1, std::memory_order_relaxed);
     return WriteAll(fd, SimpleResponse(400, "text/plain",
                                        status.message() + "\n", keep_alive)) &&
            keep_alive;
   }
-  if (!finished || write_failed) {
+  if (!status.ok() || !finished || write_failed) {
     // Mid-stream hangup (or a dead socket): the evaluation already aborted
-    // via the sink's false return. Close our side too.
+    // via the sink's false return. An error after the first chunk has no
+    // clean answer either. Close our side too.
     disconnects_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (!WriteAll(fd, kLastChunk)) {
-    disconnects_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  // Counted before the final send, so a client that has read the whole
+  // response also finds it counted.
   served_.fetch_add(1, std::memory_order_relaxed);
+  if (!send_chunk(/*last=*/true)) {
+    served_.fetch_sub(1, std::memory_order_relaxed);
+    disconnects_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   return keep_alive;
 }
 
@@ -378,12 +391,13 @@ bool SparqlHttpServer::ServeUpdate(int fd, const std::string& update,
       outcome->inserted, outcome->inferred, outcome->removed,
       outcome->matched,
       static_cast<unsigned long long>(outcome->derivations));
+  served_.fetch_add(1, std::memory_order_relaxed);  // see ServeQuery
   if (!WriteAll(fd, SimpleResponse(200, "application/json", body,
                                    keep_alive))) {
+    served_.fetch_sub(1, std::memory_order_relaxed);
     disconnects_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  served_.fetch_add(1, std::memory_order_relaxed);
   return keep_alive;
 }
 

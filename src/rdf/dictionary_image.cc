@@ -25,11 +25,12 @@ Status WriteDictionaryImage(const Dictionary& dict, const std::string& path) {
     body.append(term.data(), term.size());
     ++count;
   });
-  std::string out(kMagic, sizeof(kMagic));
-  PutFixed64(&out, count);
-  out += body;
-  PutFixed32(&out, Crc32(0, out.data(), out.size()));
-  return AtomicWriteFile(path, out);
+  std::string head(kMagic, sizeof(kMagic));
+  PutFixed64(&head, count);
+  std::string trailer;
+  PutFixed32(&trailer, Crc32(Crc32(0, head.data(), head.size()), body.data(),
+                             body.size()));
+  return AtomicWriteFile(path, {head, body, trailer});
 }
 
 Status LoadDictionaryImage(const std::string& path, Dictionary* dict) {

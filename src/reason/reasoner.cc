@@ -11,6 +11,15 @@
 
 namespace slider {
 
+namespace {
+
+/// Rounds of up to this many triples run on the caller's thread (see the
+/// class comment), and larger deletion rounds go to the pool in chunks of
+/// this size.
+constexpr size_t kSmallRound = 2048;
+
+}  // namespace
+
 Reasoner::Reasoner(const FragmentFactory& factory, ReasonerOptions options)
     : Reasoner(factory, options, nullptr, nullptr, nullptr) {}
 
@@ -187,15 +196,34 @@ void Reasoner::ExecuteRule(int idx, const TripleVec& batch) {
 }
 
 void Reasoner::Flush() {
+  std::vector<std::pair<int, TripleVec>> batches;
   while (true) {
     {
       std::lock_guard<std::mutex> lock(transfer_mu_);
+      batches.clear();
+      size_t total = 0;
       for (size_t i = 0; i < modules_.size(); ++i) {
         std::optional<TripleVec> batch = modules_[i]->buffer->FlushNow();
         if (batch.has_value()) {
           Trace(TraceEventType::kForcedFlush, modules_[i]->rule->name(),
                 batch->size());
-          SubmitTask(static_cast<int>(i), std::move(*batch));
+          total += batch->size();
+          batches.emplace_back(static_cast<int>(i), std::move(*batch));
+        }
+      }
+      // A small round, one that fills no buffer, runs on this thread:
+      // handing a few triples to the pool costs more in wake-ups than the
+      // joins do. It runs inside the critical section, so a concurrent
+      // Flush() cannot observe its triples in neither a buffer nor the
+      // pool; what it derives lands in the buffers (or the pool, if one
+      // fills) before the lock is released.
+      const bool run_here =
+          total < options_.buffer_size && total <= kSmallRound;
+      for (auto& [idx, batch] : batches) {
+        if (run_here) {
+          ExecuteRule(idx, batch);
+        } else {
+          SubmitTask(idx, std::move(batch));
         }
       }
     }
@@ -309,21 +337,22 @@ Reasoner::RetractStats Reasoner::Retract(const TripleVec& batch) {
     TripleVec owned;            // split case: one chunk, copied
     TripleVec out;
   };
-  constexpr size_t kDeleteChunk = 2048;
   while (!round.empty()) {
     ++stats.delete_rounds;
     std::vector<DeleteTask> tasks;
+    size_t round_size = 0;
     for (size_t m = 0; m < num_modules; ++m) {
       const TripleVec& p = pending[m];
       if (p.empty()) continue;
-      if (p.size() <= kDeleteChunk) {
+      round_size += p.size();
+      if (p.size() <= kSmallRound) {
         // Common case, zero copy: `pending` is immutable until after
         // WaitIdle, so the task can borrow the whole delta.
         tasks.push_back(DeleteTask{m, &p, TripleVec{}, TripleVec{}});
         continue;
       }
-      for (size_t start = 0; start < p.size(); start += kDeleteChunk) {
-        const size_t end = std::min(p.size(), start + kDeleteChunk);
+      for (size_t start = 0; start < p.size(); start += kSmallRound) {
+        const size_t end = std::min(p.size(), start + kSmallRound);
         tasks.push_back(DeleteTask{
             m, nullptr,
             TripleVec(p.begin() + static_cast<ptrdiff_t>(start),
@@ -331,17 +360,22 @@ Reasoner::RetractStats Reasoner::Retract(const TripleVec& batch) {
             TripleVec{}});
       }
     }
-    // `tasks` is fully built before the first submit: element addresses
-    // stay stable while the pool writes the per-task outputs.
-    for (DeleteTask& task : tasks) {
-      pool_->Submit([this, &task] {
-        const TripleVec& batch =
-            task.borrowed != nullptr ? *task.borrowed : task.owned;
-        modules_[task.module]->rule->Apply(batch, store_->GetView(),
-                                           &task.out);
-      });
+    // A round of at most one chunk runs on this thread; larger rounds go to
+    // the pool. `tasks` is fully built before the first submit: element
+    // addresses stay stable while the pool writes the per-task outputs.
+    const auto apply = [this](DeleteTask& task) {
+      const TripleVec& batch =
+          task.borrowed != nullptr ? *task.borrowed : task.owned;
+      modules_[task.module]->rule->Apply(batch, store_->GetView(), &task.out);
+    };
+    if (round_size <= kSmallRound) {
+      for (DeleteTask& task : tasks) apply(task);
+    } else {
+      for (DeleteTask& task : tasks) {
+        pool_->Submit([&apply, &task] { apply(task); });
+      }
+      pool_->WaitIdle();
     }
-    pool_->WaitIdle();
     TripleVec erased_round;
     for (const Triple& t : round) {
       if (store_->Erase(t)) {

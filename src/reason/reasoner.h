@@ -34,6 +34,15 @@ namespace slider {
 /// triples may arrive at any time and from several threads — "processing
 /// data as soon as it is published" (§1).
 ///
+/// Small rounds run on the caller's thread. A Flush() round whose
+/// force-flushed buffers hold at most 2,048 triples in total, and fewer
+/// than buffer_size, and a Retract() deletion round of at most 2,048
+/// triples execute their rules inline instead of waking the pool: for the
+/// few triples of a single-statement update the hand-off costs more than
+/// the joins. Full buffers and larger rounds still go to the pool, so bulk
+/// loads keep the parallel pipeline, and the closure is the same either
+/// way.
+///
 /// Completeness invariant: every triple is inserted into the store *before*
 /// it is enqueued to any buffer, and every rule joins its delta with the
 /// full store in both directions. For any antecedent pair (t1, t2), the

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/fs.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -519,8 +523,27 @@ Result<UpdateResult> Repository::ExecuteUpdate(const UpdateRequest& request) {
       }
     }
   }
+  if (LogTailPastBound()) {
+    // The update itself is applied and journaled; a failed checkpoint only
+    // leaves the tail long, and the next update retries it.
+    const Status checkpointed = Checkpoint();
+    if (!checkpointed.ok()) {
+      SLIDER_LOG(kWarning) << "automatic checkpoint failed: "
+                           << checkpointed.ToString();
+    }
+  }
   result.seconds = watch.ElapsedSeconds();
   return result;
+}
+
+bool Repository::LogTailPastBound() const {
+  if (log_ == nullptr || !snapshot_triples_.has_value() ||
+      !options_.truncate_log_on_checkpoint) {
+    return false;
+  }
+  const uint64_t bound = std::max<uint64_t>(
+      kLogTailMinRecords, *snapshot_triples_ / kLogTailSnapshotFraction);
+  return log_->next_lsn() - snapshot_lsn_ > bound;
 }
 
 Status Repository::Checkpoint() {
@@ -545,6 +568,7 @@ Status Repository::Checkpoint() {
   SLIDER_RETURN_NOT_OK(
       WriteTripleSnapshot(*store_, lsn, SnapshotTriplesPath()));
   snapshot_lsn_ = lsn;
+  snapshot_triples_ = store_->size();
   // Truncation strictly after the snapshot renames in: a crash between the
   // two leaves a log whose prefix the snapshot already covers (replay skips
   // records below the LSN); the reverse order would lose the prefix.
@@ -555,6 +579,13 @@ Status Repository::Checkpoint() {
     // still rebuild everything if the snapshot is lost.
     if (log_->base_lsn() > 0) durable_terms_ = std::move(imaged);
   }
+#ifdef __GLIBC__
+  // Hand freed heap pages back to the OS at this quiescent point. glibc
+  // otherwise keeps a Load's parse and materialization transients, and
+  // the images just written, resident in its arenas, and a long-running
+  // server grows by each arena's high-water mark.
+  malloc_trim(0);
+#endif
   return Status::OK();
 }
 
@@ -633,6 +664,7 @@ Result<std::unique_ptr<Repository>> Repository::Replay(
     SLIDER_ASSIGN_OR_RETURN(
         repo->snapshot_lsn_,
         LoadTripleSnapshot(repo->SnapshotTriplesPath(), repo->store_.get()));
+    repo->snapshot_triples_ = repo->store_->size();
     if (log.base_lsn > repo->snapshot_lsn_) {
       return Status::IOError(
           Format("statement log starts at LSN %llu but the snapshot only "

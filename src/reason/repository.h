@@ -2,6 +2,7 @@
 #define SLIDER_REASON_REPOSITORY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,6 +77,18 @@ namespace slider {
 /// truncated prefix. The ordering makes the crash window benign: the
 /// snapshot renames in *before* the log truncates, and replay skips
 /// records below the snapshot LSN either way.
+///
+/// Automatic checkpoint. Once a snapshot exists (a Checkpoint ran, or
+/// Recover loaded one) and truncate_log_on_checkpoint is on, ExecuteUpdate
+/// keeps the log tail bounded: an update that leaves more than
+/// max(kLogTailMinRecords, snapshot triples / kLogTailSnapshotFraction)
+/// records past the snapshot's LSN ends with a Checkpoint — about 1 MB of
+/// tail on a 600k-triple closure. Disk use and Recover's tail replay then
+/// stay proportional to the state under any update rate. A repository
+/// that never checkpoints keeps its full log. Because an automatic
+/// checkpoint always truncates, its snapshot anchors at the log base and
+/// CompactLog stays legal after it. Direct AddTriples/RemoveTriples calls
+/// (bulk loads) do not checkpoint.
 ///
 /// Recover prefers the snapshot pair: restore dictionary ids from
 /// snapshot.dict (no re-hash through the Encode path), bulk-build the
@@ -194,8 +207,18 @@ class Repository {
   /// through the buffered rule pipeline, deletions through DRed — so the
   /// derivation counters stay proportional to the touched cone. The first
   /// failing operation aborts the request; completed operations stay
-  /// applied (no cross-operation rollback).
+  /// applied (no cross-operation rollback). A request that leaves the log
+  /// tail past its bound ends with an automatic Checkpoint (see the class
+  /// comment); a failure there is logged, not returned, since the update
+  /// itself is applied and journaled.
   Result<UpdateResult> ExecuteUpdate(const UpdateRequest& request);
+
+  /// The bound on the log tail that ExecuteUpdate keeps: once more than
+  /// max(kLogTailMinRecords, snapshot triples / kLogTailSnapshotFraction)
+  /// records follow the last snapshot's LSN, the update ends with a
+  /// Checkpoint (see the class comment).
+  static constexpr uint64_t kLogTailMinRecords = 16384;
+  static constexpr uint64_t kLogTailSnapshotFraction = 16;
 
   /// Commits the repository state to disk: flushes the statement log,
   /// writes the snapshot pair (binary dictionary image + sorted-triple
@@ -314,6 +337,10 @@ class Repository {
   /// journaling + schema refresh + table invalidation.
   Result<MaterializeStats> ApplyOnDemand(const TripleVec& input);
 
+  /// True iff a snapshot exists, Checkpoint would truncate the log, and the
+  /// log tail past the snapshot exceeds the bound above.
+  bool LogTailPastBound() const;
+
   std::string LogPath() const;
   std::string SnapshotDictPath() const;
   std::string SnapshotTriplesPath() const;
@@ -351,6 +378,9 @@ class Repository {
   uint64_t retired_derivations_ = 0;  // work of engines ResetEngine retired
   uint64_t snapshot_lsn_ = 0;  // LSN the last snapshot (written or recovered
                                // from) anchors at; guards log compaction
+  // Triples in that snapshot; unset before the first. Sizes the log-tail
+  // bound of the automatic checkpoint.
+  std::optional<size_t> snapshot_triples_;
   // Ids a Recover could rebind right now: journaled by a term record, or
   // held by the snapshot image once the log is truncated against it. A
   // bitset, not a watermark: concurrent parsers can bind ids out of order

@@ -142,13 +142,18 @@ Rule::Rule(std::string name, std::string definition,
   for (uint32_t c = 0; c < clauses_.size(); ++c) {
     const uint32_t body_size = static_cast<uint32_t>(clauses_[c].body.size());
     for (uint32_t i = 0; i < body_size; ++i) {
-      forward_plans_.push_back(Compile(c, i));
+      forward_plans_.push_back(Compile(c, i, body_size));
     }
-    derive_plans_.push_back(Compile(c, body_size));
+    std::vector<JoinPlan> leads;
+    for (uint32_t lead = 0; lead < body_size; ++lead) {
+      leads.push_back(Compile(c, body_size, lead));
+    }
+    derive_plans_.push_back(std::move(leads));
   }
 }
 
-Rule::JoinPlan Rule::Compile(uint32_t clause, uint32_t trigger) const {
+Rule::JoinPlan Rule::Compile(uint32_t clause, uint32_t trigger,
+                             uint32_t lead) const {
   const std::vector<GoalAtom>& body = clauses_[clause].body;
   bool bound[kMaxGoalVars] = {};
   const auto bind_all = [&bound](const GoalAtom& a) {
@@ -161,8 +166,12 @@ Rule::JoinPlan Rule::Compile(uint32_t clause, uint32_t trigger) const {
   JoinPlan plan;
   plan.clause = clause;
   plan.trigger = trigger;
+  std::vector<uint32_t> order;
+  if (lead < body.size()) order.push_back(lead);
   for (uint32_t i = 0; i < body.size(); ++i) {
-    if (i == trigger) continue;
+    if (i != trigger && i != lead) order.push_back(i);
+  }
+  for (const uint32_t i : order) {
     const GoalAtom& a = body[i];
     const auto is_bound = [&bound](const GoalTerm& g) {
       return !g.IsVar() || bound[g.var];
@@ -225,16 +234,45 @@ void Rule::ExpandGoal(const TriplePattern& head,
   }
 }
 
+size_t Rule::LeadEstimate(const JoinPlan& plan, const TermId* env,
+                          const StoreView& store) const {
+  const JoinStep& step = plan.steps.front();
+  const GoalAtom& a = clauses_[plan.clause].body[step.atom];
+  switch (step.fresh) {
+    case 0:
+      return 0;
+    case kFreshO:
+      return store.CountObjects(Value(a.p, env), Value(a.s, env));
+    case kFreshS:
+      return store.CountSubjects(Value(a.p, env), Value(a.o, env));
+    case kFreshS | kFreshO:
+      return store.CountWithPredicate(Value(a.p, env));
+    default:
+      return SIZE_MAX;  // unbound predicate: a scan
+  }
+}
+
 bool Rule::CanDerive(const Triple& t, const StoreView& store) const {
   const auto found = [](const TermId*) { return true; };
-  for (const JoinPlan& plan : derive_plans_) {
-    const GoalClause& clause = clauses_[plan.clause];
+  for (const std::vector<JoinPlan>& leads : derive_plans_) {
+    const GoalClause& clause = clauses_[leads.front().clause];
     TermId env[kMaxGoalVars];
     ResetEnv(env);
-    if (BindGoalAtom(clause.head, t, env) &&
-        Join(clause.body, plan.steps, 0, env, store, found)) {
-      return true;
+    if (!BindGoalAtom(clause.head, t, env)) continue;
+    // Lead with the atom that fans out least under the head's bindings:
+    // CAX-SCO proving <x type C> should walk x's few types, not every
+    // subclass of a hub class C.
+    const JoinPlan* best = &leads.front();
+    size_t best_estimate =
+        leads.size() > 1 ? LeadEstimate(*best, env, store) : 0;
+    for (size_t i = 1; i < leads.size() && best_estimate > 0; ++i) {
+      const size_t estimate = LeadEstimate(leads[i], env, store);
+      if (estimate < best_estimate) {
+        best = &leads[i];
+        best_estimate = estimate;
+      }
     }
+    if (Join(clause.body, best->steps, 0, env, store, found)) return true;
   }
   return false;
 }

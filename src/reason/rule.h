@@ -180,14 +180,21 @@ class Rule {
 
   /// A clause compiled for one entry point: a delta triple matching body
   /// atom `trigger` (Apply), or a ground head (CanDerive; trigger is the
-  /// body size). `steps` are the other atoms in declaration order.
+  /// body size). `steps` are the other atoms: atom `lead` first when it
+  /// names one, the rest in declaration order.
   struct JoinPlan {
     uint32_t clause = 0;
     uint32_t trigger = 0;
     std::vector<JoinStep> steps;
   };
 
-  JoinPlan Compile(uint32_t clause, uint32_t trigger) const;
+  JoinPlan Compile(uint32_t clause, uint32_t trigger, uint32_t lead) const;
+
+  /// The store's estimate of how many bindings `plan`'s first step yields
+  /// under `env`: 0 for a membership probe, the row or partition length
+  /// for one or two fresh positions, SIZE_MAX for an unbound predicate.
+  size_t LeadEstimate(const JoinPlan& plan, const TermId* env,
+                      const StoreView& store) const;
 
   template <typename Emit>
   static bool Join(const std::vector<GoalAtom>& body,
@@ -201,7 +208,9 @@ class Rule {
   std::vector<TermId> outputs_;  // ignored when outputs_any_
   bool outputs_any_ = false;
   std::vector<JoinPlan> forward_plans_;  // per (clause, body atom), in order
-  std::vector<JoinPlan> derive_plans_;   // per clause
+  // Per clause, one plan per lead body atom; CanDerive picks the one whose
+  // first step the store estimates smallest.
+  std::vector<std::vector<JoinPlan>> derive_plans_;
 };
 
 using RulePtr = std::shared_ptr<const Rule>;

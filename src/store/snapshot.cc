@@ -1,6 +1,5 @@
 #include "store/snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -18,22 +17,22 @@ constexpr char kMagic[8] = {'S', 'L', 'T', 'R', 'I', 'P', '0', '1'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t) + sizeof(uint32_t);
 constexpr size_t kDirEntrySize = 3 * sizeof(uint64_t);
 
-/// Encodes one predicate section (see the format comment in snapshot.h).
-void EncodeSection(const std::vector<TripleStore::SnapshotRow>& rows,
+/// Appends one predicate section (see the format comment in snapshot.h).
+void EncodeSection(const TripleStore::SnapshotPartition& part,
                    std::string* out) {
-  PutVarint(out, rows.size());
+  PutVarint(out, part.size());
   TermId prev_subject = 0;
-  for (const TripleStore::SnapshotRow& row : rows) {
-    PutVarint(out, row.subject - prev_subject);
-    prev_subject = row.subject;
-    PutVarint(out, row.objects.size());
+  part.ForEachRow([&](TermId subject, const auto& objects) {
+    PutVarint(out, subject - prev_subject);
+    prev_subject = subject;
+    PutVarint(out, objects.size());
     TermId prev_object = 0;
-    for (const auto& [o, flags] : row.objects) {
+    for (const auto& [o, flags] : objects) {
       PutVarint(out, o - prev_object);
       prev_object = o;
       out->push_back(static_cast<char>(flags));
     }
-  }
+  });
 }
 
 Status DecodeSection(const char* data, size_t size, TermId predicate,
@@ -83,35 +82,37 @@ Status DecodeSection(const char* data, size_t size, TermId predicate,
 
 Status WriteTripleSnapshot(const TripleStore& store, uint64_t lsn,
                            const std::string& path) {
-  // Collect and sort the sections first: the directory layout wants stable
-  // offsets, and a deterministic predicate order makes images of equal
-  // stores byte-identical (the bit-identity checks in tests/bench rely on
-  // store equality implying comparable recoveries, not on luck).
-  std::vector<std::pair<TermId, std::string>> sections;
-  store.ExportForSnapshot(
-      [&](TermId p, const std::vector<TripleStore::SnapshotRow>& rows) {
-        std::string body;
-        EncodeSection(rows, &body);
-        sections.emplace_back(p, std::move(body));
+  // Sections are encoded straight into one body buffer, in ascending
+  // predicate order, so images of equal stores are byte-identical. The
+  // header and directory, which need the section count and offsets, are
+  // built afterwards and written in front of it.
+  struct Section {
+    TermId predicate;
+    size_t start;
+    size_t length;
+  };
+  std::vector<Section> sections;
+  std::string body;
+  store.ForEachSnapshotPartition(
+      [&](TermId p, const TripleStore::SnapshotPartition& part) {
+        const size_t start = body.size();
+        EncodeSection(part, &body);
+        sections.push_back(Section{p, start, body.size() - start});
       });
-  std::sort(sections.begin(), sections.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::string out(kMagic, sizeof(kMagic));
-  PutFixed64(&out, lsn);
-  PutFixed32(&out, static_cast<uint32_t>(sections.size()));
-  uint64_t offset = kHeaderSize + sections.size() * kDirEntrySize;
-  for (const auto& [p, body] : sections) {
-    PutFixed64(&out, p);
-    PutFixed64(&out, offset);
-    PutFixed64(&out, body.size());
-    offset += body.size();
+  std::string head(kMagic, sizeof(kMagic));
+  PutFixed64(&head, lsn);
+  PutFixed32(&head, static_cast<uint32_t>(sections.size()));
+  const uint64_t body_offset = kHeaderSize + sections.size() * kDirEntrySize;
+  for (const Section& section : sections) {
+    PutFixed64(&head, section.predicate);
+    PutFixed64(&head, body_offset + section.start);
+    PutFixed64(&head, section.length);
   }
-  for (const auto& [p, body] : sections) {
-    out += body;
-  }
-  PutFixed32(&out, Crc32(0, out.data(), out.size()));
-  return AtomicWriteFile(path, out);
+  std::string trailer;
+  PutFixed32(&trailer, Crc32(Crc32(0, head.data(), head.size()), body.data(),
+                             body.size()));
+  return AtomicWriteFile(path, {head, body, trailer});
 }
 
 Result<uint64_t> LoadTripleSnapshot(const std::string& path,

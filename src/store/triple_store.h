@@ -217,11 +217,36 @@ class TripleStore {
     std::vector<std::pair<TermId, uint8_t>> objects;
   };
 
+  /// One partition of a quiesced export (see ForEachSnapshotPartition):
+  /// its non-empty subject rows, read from the index one at a time.
+  class SnapshotPartition {
+   public:
+    /// Number of non-empty subject rows.
+    size_t size() const { return rows_.size(); }
+
+    /// Invokes fn(subject, objects) once per non-empty row in ascending
+    /// subject order. `objects` holds the row's (object, raw flag byte)
+    /// pairs sorted by object; it is reused across rows, so it is valid
+    /// only during the call.
+    template <typename Fn>
+    void ForEachRow(Fn&& fn) const;
+
+   private:
+    friend class TripleStore;
+    std::vector<std::pair<TermId, const LfRow*>> rows_;
+  };
+
   /// Quiesced export for the snapshot writer: invokes
-  /// fn(predicate, rows) once per non-empty partition, rows sorted by
-  /// subject and each row's objects sorted ascending — the layout the
-  /// delta-encoder wants. Predicate order is unspecified (the writer
-  /// sorts sections itself). Must run with no concurrent writers.
+  /// fn(predicate, partition) once per non-empty partition, in ascending
+  /// predicate order — the layout the delta-encoder wants. Beyond one
+  /// subject list per partition and one object list reused across its
+  /// rows it copies nothing, so a checkpoint's transient heap is the image
+  /// being encoded. Must run with no concurrent writers.
+  template <typename Fn>
+  void ForEachSnapshotPartition(Fn&& fn) const;
+
+  /// Like ForEachSnapshotPartition, but hands fn(predicate, rows) each
+  /// partition as a materialized, sorted SnapshotRow vector.
   template <typename Fn>
   void ExportForSnapshot(Fn&& fn) const;
 
@@ -653,29 +678,49 @@ void TripleStore::ForEachMatch(const TriplePattern& pattern, Fn&& fn) const {
 }
 
 template <typename Fn>
-void TripleStore::ExportForSnapshot(Fn&& fn) const {
+void TripleStore::SnapshotPartition::ForEachRow(Fn&& fn) const {
+  std::vector<std::pair<TermId, uint8_t>> objects;
+  for (const auto& [s, row] : rows_) {
+    objects.clear();
+    row->ForEachWithFlags(
+        [&](uint64_t o, uint8_t flags) { objects.emplace_back(o, flags); });
+    std::sort(objects.begin(), objects.end());
+    fn(s, objects);
+  }
+}
+
+template <typename Fn>
+void TripleStore::ForEachSnapshotPartition(Fn&& fn) const {
   const EpochPin pin = epochs_.pin();
-  std::vector<SnapshotRow> rows;
+  std::vector<std::pair<TermId, const Partition*>> partitions;
   for (size_t i = 0; i < shard_count_; ++i) {
     shards_[i].partitions.ForEach([&](TermId p, const Partition& part) {
-      rows.clear();
-      part.by_subject.ForEach([&](TermId s, const LfRow& row) {
-        SnapshotRow out;
-        out.subject = s;
-        row.ForEachWithFlags(
-            [&](uint64_t o, uint8_t flags) { out.objects.emplace_back(o, flags); });
-        if (out.objects.empty()) return;
-        std::sort(out.objects.begin(), out.objects.end());
-        rows.push_back(std::move(out));
-      });
-      if (rows.empty()) return;
-      std::sort(rows.begin(), rows.end(),
-                [](const SnapshotRow& a, const SnapshotRow& b) {
-                  return a.subject < b.subject;
-                });
-      fn(p, rows);
+      partitions.emplace_back(p, &part);
     });
   }
+  std::sort(partitions.begin(), partitions.end());
+  SnapshotPartition out;
+  for (const auto& [p, part] : partitions) {
+    out.rows_.clear();
+    part->by_subject.ForEach([&](TermId s, const LfRow& row) {
+      if (!row.empty()) out.rows_.emplace_back(s, &row);
+    });
+    if (out.rows_.empty()) continue;
+    std::sort(out.rows_.begin(), out.rows_.end());
+    fn(p, static_cast<const SnapshotPartition&>(out));
+  }
+}
+
+template <typename Fn>
+void TripleStore::ExportForSnapshot(Fn&& fn) const {
+  std::vector<SnapshotRow> rows;
+  ForEachSnapshotPartition([&](TermId p, const SnapshotPartition& part) {
+    rows.clear();
+    part.ForEachRow([&](TermId s, const auto& objects) {
+      rows.push_back(SnapshotRow{s, objects});
+    });
+    fn(p, rows);
+  });
 }
 
 }  // namespace slider

@@ -306,5 +306,103 @@ TEST(EndpointConcurrencyTest, CoalescedNewTermsSurviveRecover) {
   EXPECT_EQ(decoded, live);
 }
 
+TEST(EndpointConcurrencyTest, AutoCheckpointsRunUnderCoalescedWriters) {
+  // Coalesced sessions push the log tail past its bound several times, so
+  // automatic checkpoints export the store and the dictionary while SELECT
+  // sessions read both and other sessions bind new terms outside the
+  // update lock. The tail stays bounded and the journal still recovers the
+  // live closure.
+  Repository::Options options;
+  options.storage_dir = FreshDir("endpoint_auto_checkpoint");
+  options.inference = Repository::InferenceMode::kIncremental;
+  const std::string log_path = options.storage_dir + "/statements.log";
+  auto opened = Repository::Open(RhoDfFactory(), options);
+  ASSERT_TRUE(opened.ok());
+  Repository* repo = opened->get();
+
+  constexpr int kSessions = 3;
+  constexpr int kReaders = 2;
+  constexpr int kPerSession = 100;
+  constexpr int kPerUpdate = 40;
+  uint64_t first_base = 0;
+  TripleSet live;
+  {
+    SparqlEndpoint endpoint(repo);
+    ASSERT_TRUE(endpoint
+                    .Update("PREFIX rdfs: "
+                            "<http://www.w3.org/2000/01/rdf-schema#>\n"
+                            "PREFIX ex: <http://ex/>\n"
+                            "INSERT DATA { ex:Worker rdfs:subClassOf "
+                            "ex:Agent }")
+                    .ok());
+    ASSERT_TRUE(repo->Checkpoint().ok());
+    auto anchored = StatementLog::ReadLog(log_path);
+    ASSERT_TRUE(anchored.ok());
+    first_base = anchored->base_lsn;
+
+    net::UpdateCoalescer coalescer(&endpoint);
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> errors{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kSessions; ++t) {
+      threads.emplace_back([&coalescer, &errors, t] {
+        for (int i = 0; i < kPerSession; ++i) {
+          const std::string tag =
+              std::to_string(t) + "_" + std::to_string(i) + "_";
+          std::string update = "PREFIX ex: <http://ex/>\nINSERT DATA {";
+          for (int k = 0; k < kPerUpdate; ++k) {
+            update += " ex:w" + tag + std::to_string(k) + " a ex:Worker .";
+          }
+          update += " }";
+          if (!coalescer.Execute(update).ok()) errors.fetch_add(1);
+          if (i % 4 == 0 &&
+              !coalescer
+                   .Execute("PREFIX ex: <http://ex/>\nDELETE WHERE { ex:w" +
+                            tag + "0 a ?t }")
+                   .ok()) {
+            errors.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (int r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&endpoint, &stop, &errors] {
+        const char* queries[] = {
+            "PREFIX ex: <http://ex/>\nSELECT ?x WHERE { ?x a ex:Agent }",
+            "SELECT * WHERE { ?s ?p ?o } LIMIT 5",
+        };
+        size_t i = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+          if (!endpoint.Select(queries[i++ % 2]).ok()) errors.fetch_add(1);
+        }
+      });
+    }
+    for (int t = 0; t < kSessions; ++t) threads[static_cast<size_t>(t)].join();
+    stop.store(true, std::memory_order_release);
+    for (size_t t = kSessions; t < threads.size(); ++t) threads[t].join();
+    EXPECT_EQ(errors.load(), 0u);
+
+    // Every membership but the first of every fourth update survives, each
+    // an Agent through the subclass hop.
+    const size_t expected =
+        kSessions * (kPerSession * kPerUpdate - (kPerSession + 3) / 4);
+    auto agents = endpoint.Select(
+        "PREFIX ex: <http://ex/>\nSELECT ?x WHERE { ?x a ex:Agent }");
+    ASSERT_TRUE(agents.ok());
+    EXPECT_EQ(agents->rows.size(), expected);
+    live = repo->store().SnapshotSet();
+  }
+  opened->reset();  // crash: no final checkpoint
+
+  auto log = StatementLog::ReadLog(log_path);
+  ASSERT_TRUE(log.ok());
+  // ~36k records: at least two automatic checkpoints.
+  EXPECT_GT(log->base_lsn - first_base, 2 * Repository::kLogTailMinRecords);
+  EXPECT_LE(log->records.size(), Repository::kLogTailMinRecords);
+  auto recovered = Repository::Recover(RhoDfFactory(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->store().SnapshotSet(), live);
+}
+
 }  // namespace
 }  // namespace slider

@@ -156,14 +156,94 @@ TEST(ReasonerTest, RuleStatsAttributeInferencesToRules) {
   reasoner.Flush();
   uint64_t scm_sco_inferred = 0;
   uint64_t executions = 0;
+  uint64_t flushes = 0;
+  uint64_t full_flushes = 0;
   for (const auto& s : reasoner.rule_stats()) {
     executions += s.executions;
+    flushes += s.full_flushes + s.timeout_flushes + s.forced_flushes;
+    full_flushes += s.full_flushes;
     if (s.rule_name == "SCM-SCO") scm_sco_inferred = s.inferred_new;
   }
   // On a pure chain, every inference belongs to SCM-SCO.
   EXPECT_EQ(scm_sco_inferred, ChainGenerator::ExpectedRhoDfInferred(12));
   EXPECT_GT(executions, 0u);
-  EXPECT_EQ(reasoner.pool_stats().tasks_executed, executions);
+  // Every flushed batch is executed once: full buffers on the pool, small
+  // Flush() rounds on the caller's thread.
+  EXPECT_EQ(executions, flushes);
+  EXPECT_GE(reasoner.pool_stats().tasks_executed, full_flushes);
+  EXPECT_LE(reasoner.pool_stats().tasks_executed, executions);
+}
+
+TEST(ReasonerTest, SmallFlushRoundsRunOnTheCallersThread) {
+  Reasoner reasoner(RdfsFactory(), QuietOptions(256));
+  Dictionary* dict = reasoner.dictionary();
+  const Vocabulary& v = reasoner.vocabulary();
+  const TermId a = dict->Encode("<http://ex/A>");
+  const TermId b = dict->Encode("<http://ex/B>");
+  const TermId c = dict->Encode("<http://ex/C>");
+  const TermId x = dict->Encode("<http://ex/x>");
+  // A delta far below one buffer, as a single-statement update sends: the
+  // whole cascade runs inline and the pool never wakes.
+  reasoner.AddTriples(
+      {{a, v.sub_class_of, b}, {b, v.sub_class_of, c}, {x, v.type, a}});
+  reasoner.Flush();
+  EXPECT_EQ(reasoner.pool_stats().tasks_executed, 0u);
+  EXPECT_TRUE(reasoner.store().Contains({x, v.type, c}));
+  EXPECT_TRUE(reasoner.store().Contains({a, v.sub_class_of, c}));
+  uint64_t executions = 0;
+  for (const auto& s : reasoner.rule_stats()) executions += s.executions;
+  EXPECT_GT(executions, 0u);
+
+  // Retracting a small cone runs its deletion rounds inline too.
+  reasoner.Retract({{x, v.type, a}});
+  EXPECT_EQ(reasoner.pool_stats().tasks_executed, 0u);
+  EXPECT_FALSE(reasoner.store().Contains({x, v.type, c}));
+
+  // A delta of a full buffer or more still goes to the pool, and so does a
+  // Flush() round that gathers at least buffer_size triples.
+  TripleVec bulk;
+  for (int i = 0; i < 256; ++i) {
+    bulk.push_back({dict->Encode("<http://ex/y" + std::to_string(i) + ">"),
+                    v.type, a});
+  }
+  reasoner.AddTriples(bulk);
+  reasoner.Flush();
+  EXPECT_GT(reasoner.pool_stats().tasks_executed, 0u);
+  for (const Triple& t : bulk) {
+    EXPECT_TRUE(reasoner.store().Contains({t.s, v.type, c}));
+  }
+}
+
+TEST(ReasonerTest, LargeRoundsUseThePool) {
+  // Buffers far larger than any round: only the size of a round sends it
+  // to the pool.
+  Reasoner reasoner(RdfsFactory(), QuietOptions(1 << 20));
+  Dictionary* dict = reasoner.dictionary();
+  const Vocabulary& v = reasoner.vocabulary();
+  const TermId a = dict->Encode("<http://ex/A>");
+  const TermId b = dict->Encode("<http://ex/B>");
+  TripleVec instances;
+  for (int i = 0; i < 5000; ++i) {
+    instances.push_back(
+        {dict->Encode("<http://ex/z" + std::to_string(i) + ">"), v.type, a});
+  }
+  reasoner.AddTriple({a, v.sub_class_of, b});
+  reasoner.Flush();
+  EXPECT_EQ(reasoner.pool_stats().tasks_executed, 0u);
+  // No buffer fills, but the Flush() round holds thousands of triples.
+  reasoner.AddTriples(instances);
+  reasoner.Flush();
+  const uint64_t after_adds = reasoner.pool_stats().tasks_executed;
+  EXPECT_GT(after_adds, 0u);
+  for (const Triple& t : instances) {
+    EXPECT_TRUE(reasoner.store().Contains({t.s, v.type, b}));
+  }
+  // Retracting the whole population is a deletion round past one chunk.
+  reasoner.Retract(instances);
+  EXPECT_GT(reasoner.pool_stats().tasks_executed, after_adds);
+  for (const Triple& t : instances) {
+    EXPECT_FALSE(reasoner.store().Contains({t.s, v.type, b}));
+  }
 }
 
 TEST(ReasonerTest, TimeoutFlusherDrivesProgressWithoutFlush) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fs.h"
 #include "workload/chain_generator.h"
 
 namespace slider {
@@ -192,6 +193,158 @@ TEST(RepositoryTest, RdfsFragmentFactoryApplies) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->materialize.inferred_new,
             ChainGenerator::ExpectedRdfsInferred(10));
+}
+
+// kIncremental RDFS whose log reaches the disk every 64 records, so the
+// file lags the tail by less than one update's records (a checkpoint
+// flushes it whole).
+Repository::Options AutoCheckpointOptions(const std::string& dir) {
+  Repository::Options options;
+  options.storage_dir = dir;
+  options.inference = Repository::InferenceMode::kIncremental;
+  options.log_flush_interval = 64;
+  return options;
+}
+
+// Loads a four-class schema under a common superclass.
+void AddSchema(Repository* repo) {
+  Dictionary* dict = repo->dictionary();
+  const Vocabulary& v = repo->vocabulary();
+  TripleVec schema;
+  for (int c = 0; c < 4; ++c) {
+    schema.push_back({dict->Encode("<http://ex/C" + std::to_string(c) + ">"),
+                      v.sub_class_of, dict->Encode("<http://ex/Top>")});
+  }
+  ASSERT_TRUE(repo->AddTriples(schema).ok());
+}
+
+// Update number `round`: one INSERT DATA of 100 fresh instance assertions,
+// then one DELETE DATA of the first 20 of the previous round's.
+void RunUpdate(Repository* repo, int round) {
+  Dictionary* dict = repo->dictionary();
+  const Vocabulary& v = repo->vocabulary();
+  const auto instance = [&](int r, int i) {
+    return Triple(dict->Encode("<http://ex/x" + std::to_string(r) + "_" +
+                               std::to_string(i) + ">"),
+                  v.type,
+                  dict->Encode("<http://ex/C" + std::to_string(i % 4) + ">"));
+  };
+  UpdateRequest request;
+  UpdateOp insert;
+  insert.kind = UpdateOp::Kind::kInsertData;
+  for (int i = 0; i < 100; ++i) insert.data.push_back(instance(round, i));
+  request.ops.push_back(std::move(insert));
+  if (round > 0) {
+    UpdateOp remove;
+    remove.kind = UpdateOp::Kind::kDeleteData;
+    for (int i = 0; i < 20; ++i) remove.data.push_back(instance(round - 1, i));
+    request.ops.push_back(std::move(remove));
+  }
+  const Result<UpdateResult> result = repo->ExecuteUpdate(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+StatementLog::Contents ReadLog(const std::string& dir) {
+  auto log = StatementLog::ReadLog(dir + "/statements.log");
+  log.status().AbortIfNotOk();
+  return log.MoveValueUnsafe();
+}
+
+TripleSet ExplicitSet(const TripleStore& store) {
+  TripleSet out;
+  store.GetExplicitView().ForEachMatch(
+      TriplePattern{kAnyTerm, kAnyTerm, kAnyTerm},
+      [&](const Triple& t) { out.insert(t); });
+  return out;
+}
+
+TEST(RepositoryTest, AutoCheckpointKeepsTheLogTailBounded) {
+  const std::string dir = FreshDir("repo_auto_checkpoint");
+  const Repository::Options options = AutoCheckpointOptions(dir);
+  // A small store: the fixed minimum is the bound.
+  const uint64_t bound = Repository::kLogTailMinRecords;
+  TripleSet closure;
+  TripleSet asserted;
+  {
+    auto repo = Repository::Open(RdfsFactory(), options);
+    ASSERT_TRUE(repo.ok());
+    AddSchema(repo->get());
+    ASSERT_TRUE((*repo)->Checkpoint().ok());
+    uint64_t base = ReadLog(dir).base_lsn;
+    ASSERT_GT(base, 0u);
+    int checkpoints = 0;
+    int round = 0;
+    for (; round < 1000 && checkpoints < 3; ++round) {
+      RunUpdate(repo->get(), round);
+      const StatementLog::Contents log = ReadLog(dir);
+      // The tail never outlives an update past the bound...
+      ASSERT_LE(log.records.size(), bound) << "round " << round;
+      if (log.base_lsn != base) {
+        // ...and a checkpoint fires only once the tail has passed it.
+        EXPECT_GT(log.base_lsn - base, bound) << "round " << round;
+        EXPECT_TRUE(log.records.empty());
+        base = log.base_lsn;
+        ++checkpoints;
+      }
+    }
+    ASSERT_EQ(checkpoints, 3);
+    // The automatic snapshot anchors at the log base: compaction is legal.
+    ASSERT_TRUE((*repo)->CompactLog().ok());
+    RunUpdate(repo->get(), round);
+    closure = (*repo)->store().SnapshotSet();
+    asserted = ExplicitSet((*repo)->store());
+  }
+  auto recovered = Repository::Recover(RdfsFactory(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->store().SnapshotSet(), closure);
+  EXPECT_EQ(ExplicitSet((*recovered)->store()), asserted);
+}
+
+TEST(RepositoryTest, NoAutoCheckpointBeforeTheFirstSnapshot) {
+  const std::string dir = FreshDir("repo_auto_checkpoint_none");
+  const Repository::Options options = AutoCheckpointOptions(dir);
+  auto repo = Repository::Open(RdfsFactory(), options);
+  ASSERT_TRUE(repo.ok());
+  AddSchema(repo->get());
+  int round = 0;
+  while (ReadLog(dir).records.size() <= 2 * Repository::kLogTailMinRecords) {
+    ASSERT_LT(round, 1000);
+    RunUpdate(repo->get(), round++);
+  }
+  EXPECT_EQ(ReadLog(dir).base_lsn, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot.triples"));
+}
+
+TEST(RepositoryTest, NoAutoCheckpointWithTruncationOff) {
+  const std::string dir = FreshDir("repo_auto_checkpoint_keep_log");
+  Repository::Options options = AutoCheckpointOptions(dir);
+  options.truncate_log_on_checkpoint = false;
+  TripleSet closure;
+  TripleSet asserted;
+  {
+    auto repo = Repository::Open(RdfsFactory(), options);
+    ASSERT_TRUE(repo.ok());
+    AddSchema(repo->get());
+    ASSERT_TRUE((*repo)->Checkpoint().ok());
+    const std::string image =
+        ReadFileToString(dir + "/snapshot.triples").MoveValueUnsafe();
+    const size_t anchored = ReadLog(dir).records.size();
+    int round = 0;
+    while (ReadLog(dir).records.size() - anchored <=
+           2 * Repository::kLogTailMinRecords) {
+      ASSERT_LT(round, 1000);
+      RunUpdate(repo->get(), round++);
+    }
+    EXPECT_EQ(ReadLog(dir).base_lsn, 0u);
+    EXPECT_EQ(ReadFileToString(dir + "/snapshot.triples").MoveValueUnsafe(),
+              image);
+    closure = (*repo)->store().SnapshotSet();
+    asserted = ExplicitSet((*repo)->store());
+  }
+  auto recovered = Repository::Recover(RdfsFactory(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->store().SnapshotSet(), closure);
+  EXPECT_EQ(ExplicitSet((*recovered)->store()), asserted);
 }
 
 }  // namespace

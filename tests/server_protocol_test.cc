@@ -1,17 +1,23 @@
 // SPARQL 1.1 Protocol conformance of the HTTP server: request routing and
 // content negotiation, streamed JSON/TSV bodies, error status codes (400
 // parse error, 404/405/406/415 routing, 413 oversized body, 503 admission
-// reject), and resilience — a client that disconnects mid-stream aborts
-// its evaluation and leaves the server serving.
+// reject), resilience — a client that disconnects mid-stream aborts
+// its evaluation and leaves the server serving — and latency: small
+// responses on a keep-alive connection are not held back by Nagle.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/client.h"
 #include "net/server.h"
@@ -288,6 +294,94 @@ TEST_F(ServerProtocolTest, KeepAliveServesSequentialRequests) {
   EXPECT_NE(second.find("200 OK"), std::string::npos);
   close(*fd);
   EXPECT_GE(server_->stats().served, 2u);
+}
+
+TEST_F(ServerProtocolTest, SmallSelectsOnKeepAliveAreNotDelayed) {
+  StartServer();
+  Seed();
+  // Twenty small SELECTs (two rows each) back to back on one keep-alive
+  // connection. A response written in several small sends waits on Nagle
+  // plus the peer's delayed ACK, ~40 ms per response; one write per
+  // response, with TCP_NODELAY, answers each in well under a millisecond.
+  const std::string q =
+      "GET /sparql?query=PREFIX%20ex%3A%20%3Chttp%3A%2F%2Fex%2F%3E%20"
+      "SELECT%20%3Fx%20WHERE%20%7B%20%3Fx%20ex%3Ap%20%3Fy%20%7D HTTP/1.1\r\n"
+      "Host: x\r\n\r\n";
+  auto fd = client_->ConnectAndSend(q);
+  ASSERT_TRUE(fd.ok());
+  const int one = 1;
+  setsockopt(*fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  char buf[4096];
+  const auto read_one_response = [&]() {
+    std::string raw;
+    while (raw.size() < 5 ||
+           raw.compare(raw.size() - 5, 5, "0\r\n\r\n") != 0) {
+      const ssize_t n = read(*fd, buf, sizeof(buf));
+      if (n <= 0) break;
+      raw.append(buf, static_cast<size_t>(n));
+    }
+    return raw;
+  };
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    if (i > 0) {
+      ASSERT_EQ(write(*fd, q.data(), q.size()),
+                static_cast<ssize_t>(q.size()));
+    }
+    const std::string response = read_one_response();
+    ASSERT_NE(response.find("200 OK"), std::string::npos) << i;
+    ASSERT_NE(response.find("http://ex/a"), std::string::npos) << i;
+    ASSERT_NE(response.find("http://ex/c"), std::string::npos) << i;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  close(*fd);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(400));
+}
+
+TEST_F(ServerProtocolTest, LargeResultSpansSeveralFlushes) {
+  StartServer();
+  // ~40k rows, well over a megabyte of TSV: the response leaves in many
+  // chunks, and the decoded rows must be exactly the in-process answer.
+  TripleVec bulk;
+  Dictionary* dict = repo_->dictionary();
+  const TermId p = dict->Encode("<http://ex/bulk>");
+  const TermId o = dict->Encode("<http://ex/o>");
+  for (int i = 0; i < 40000; ++i) {
+    bulk.push_back(
+        {dict->Encode("<http://ex/bulk-subject-number-" + std::to_string(i) +
+                      ">"),
+         p, o});
+  }
+  repo_->AddTriples(bulk).status().AbortIfNotOk();
+  const std::string query =
+      "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x ex:bulk ?y }";
+
+  const HttpResponse response =
+      Post("application/sparql-query", query, "text/tab-separated-values");
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(response.Header("transfer-encoding"), "chunked");
+  EXPECT_GT(response.body.size(), size_t{4 * 16 * 1024});
+  std::vector<std::string> served;
+  size_t pos = response.body.find('\n');
+  ASSERT_NE(pos, std::string::npos);
+  EXPECT_EQ(response.body.substr(0, pos), "?x");
+  for (++pos; pos < response.body.size();) {
+    const size_t end = response.body.find('\n', pos);
+    ASSERT_NE(end, std::string::npos);
+    served.push_back(response.body.substr(pos, end - pos));
+    pos = end + 1;
+  }
+
+  const Result<QueryResult> expected = endpoint_->Select(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  std::vector<std::string> in_process;
+  for (const std::vector<TermId>& row : expected->rows) {
+    in_process.push_back(std::string(dict->DecodeUnchecked(row[0])));
+  }
+  ASSERT_EQ(in_process.size(), 40000u);
+  std::sort(served.begin(), served.end());
+  std::sort(in_process.begin(), in_process.end());
+  EXPECT_EQ(served, in_process);
 }
 
 }  // namespace
