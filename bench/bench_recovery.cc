@@ -18,6 +18,10 @@
 // Both recoveries must produce the same closure; the headline number is
 // the wall-clock ratio (target: >= 10x on the default corpus).
 //
+// Checkpoint itself is timed on the main corpus twice: under the default
+// batch mode, which writes the snapshot pair inline, and under
+// kIncremental, which builds it on the engine's idle pool.
+//
 // A second phase recovers a smaller checkpointed repository — snapshot
 // plus a one-round tail — in every inference mode and checks the
 // recovered closure is *bit-identical* to the live one: both closures are
@@ -161,6 +165,31 @@ RecoveryTiming TimeRecovery(const std::string& dir, int repeat) {
   return timing;
 }
 
+// Median wall-clock of `repeat` back-to-back Checkpoint calls on a freshly
+// loaded repository in `mode`: the snapshot pair written inline (batch
+// modes) or on the engine's idle pool (kIncremental).
+double TimeCheckpoint(Repository::InferenceMode mode, const char* name,
+                      const OntologySpec& spec, int repeat) {
+  Repository::Options options;
+  options.storage_dir = FreshDir(std::string("bench_recovery_checkpoint_") +
+                                 name);
+  options.inference = mode;
+  options.incremental = BenchSliderOptions();
+  auto repo = Repository::Open(RdfsFactory(), options);
+  repo.status().AbortIfNotOk();
+  const TripleVec input =
+      Corpus::Generate(spec, (*repo)->dictionary(), (*repo)->vocabulary());
+  (*repo)->AddTriples(input).status().AbortIfNotOk();
+  std::vector<double> seconds;
+  for (int i = 0; i < repeat; ++i) {
+    Stopwatch watch;
+    (*repo)->Checkpoint().AbortIfNotOk();
+    seconds.push_back(watch.ElapsedSeconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
 // Canonical closure serialisation: every triple as three raw 8-byte words,
 // sorted — equal closures give equal bytes, and nothing else does.
 std::string CanonicalClosureBytes(const TripleStore& store) {
@@ -279,8 +308,17 @@ int main(int argc, char** argv) {
               ckpt.median_seconds, repeat);
   std::printf("  speedup                  : %8.1fx  (target >= 10x)\n",
               speedup);
-  std::printf("  recovered closures equal : %s\n\n",
+  std::printf("  recovered closures equal : %s\n",
               closures_equal ? "yes" : "NO — BUG");
+  const double checkpoint_inline = TimeCheckpoint(
+      Repository::InferenceMode::kStatementAtATime, "inline", spec, repeat);
+  const double checkpoint_pool = TimeCheckpoint(
+      Repository::InferenceMode::kIncremental, "pool", spec, repeat);
+  std::printf("  checkpoint, batch mode   : %8.3fs  (inline; median of %d)\n",
+              checkpoint_inline, repeat);
+  std::printf("  checkpoint, incremental  : %8.3fs  (engine pool; median of "
+              "%d)\n\n",
+              checkpoint_pool, repeat);
 
   // --- Closure bit-identity across the inference modes ----------------------
   const OntologySpec mode_spec = {"BSBM_10k", OntologySpec::Kind::kBsbm, 10000};
@@ -317,6 +355,8 @@ int main(int argc, char** argv) {
        << ",\"log_bytes_tail\":" << ckpt_hist.log_bytes
        << ",\"replay_s\":" << replay.median_seconds
        << ",\"checkpoint_s\":" << ckpt.median_seconds
+       << ",\"checkpoint_write_inline_s\":" << checkpoint_inline
+       << ",\"checkpoint_write_pool_s\":" << checkpoint_pool
        << ",\"speedup\":" << speedup << ",\"closures_equal\":"
        << (closures_equal ? "true" : "false") << "},\n";
     for (size_t i = 0; i < modes.size(); ++i) {

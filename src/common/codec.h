@@ -70,35 +70,51 @@ inline uint64_t GetFixed64(const char* data) {
 }
 
 namespace codec_internal {
-/// CRC32 (the ubiquitous reflected 0xEDB88320 polynomial), table generated
-/// once at first use. Not the hot path — recovery and checkpoint are
-/// file-at-a-time operations — so a plain byte-wise table walk suffices.
-inline const uint32_t* Crc32Table() {
-  static const auto table = [] {
-    struct Table { uint32_t entries[256]; };
-    static Table t;
+/// Slice-by-8 tables for CRC32 (the ubiquitous reflected 0xEDB88320
+/// polynomial), generated once at first use: entry [0] is the classic
+/// byte-wise table, entry [k][b] the CRC of byte b followed by k zero
+/// bytes, so one step folds eight input bytes with eight lookups.
+inline const uint32_t (*Crc32Tables())[256] {
+  static const auto tables = [] {
+    struct Tables { uint32_t entries[8][256]; };
+    static Tables t;
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t.entries[i] = c;
+      t.entries[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = t.entries[k - 1][i];
+        t.entries[k][i] = (prev >> 8) ^ t.entries[0][prev & 0xFF];
+      }
     }
     return t.entries;
   }();
-  return table;
+  return tables;
 }
 }  // namespace codec_internal
 
 /// Extends a running CRC32 over `size` bytes. Start from `crc` 0; the
 /// result of one call feeds the next, so a file checksum can be computed
-/// across buffered writes.
+/// across buffered writes. Input words are assembled little-endian byte by
+/// byte (GetFixed32), so every host computes the same value as the plain
+/// byte-wise algorithm at any alignment.
 inline uint32_t Crc32(uint32_t crc, const void* data, size_t size) {
-  const uint32_t* table = codec_internal::Crc32Table();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
+  const uint32_t (*t)[256] = codec_internal::Crc32Tables();
+  const char* p = static_cast<const char*>(data);
   crc ^= 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = crc ^ GetFixed32(p);
+    const uint32_t hi = GetFixed32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ static_cast<uint8_t>(*p)) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/codec.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -32,11 +33,11 @@ void SyncParentDir(const std::string& path) {
 }  // namespace
 
 Status AtomicWriteFile(const std::string& path, std::string_view contents) {
-  return AtomicWriteFile(path, {contents});
+  return AtomicWriteFile(path, std::vector<std::string_view>{contents});
 }
 
 Status AtomicWriteFile(const std::string& path,
-                       std::initializer_list<std::string_view> parts) {
+                       const std::vector<std::string_view>& parts) {
   const std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
@@ -67,6 +68,18 @@ Status AtomicWriteFile(const std::string& path,
   }
   SyncParentDir(path);
   return Status::OK();
+}
+
+Status AtomicWriteFileWithCrc(const std::string& path,
+                              std::vector<std::string_view> parts) {
+  uint32_t crc = 0;
+  for (const std::string_view part : parts) {
+    crc = Crc32(crc, part.data(), part.size());
+  }
+  std::string trailer;
+  PutFixed32(&trailer, crc);
+  parts.push_back(trailer);
+  return AtomicWriteFile(path, parts);
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

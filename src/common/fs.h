@@ -1,9 +1,9 @@
 #ifndef SLIDER_COMMON_FS_H_
 #define SLIDER_COMMON_FS_H_
 
-#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -21,9 +21,16 @@ namespace slider {
 Status AtomicWriteFile(const std::string& path, std::string_view contents);
 
 /// AtomicWriteFile of the concatenation of `parts`, written in order, so a
-/// caller that builds a header after its body need not join them first.
+/// caller that builds a header after its body, or encodes its body in
+/// pieces, need not join them first.
 Status AtomicWriteFile(const std::string& path,
-                       std::initializer_list<std::string_view> parts);
+                       const std::vector<std::string_view>& parts);
+
+/// AtomicWriteFile of `parts` followed by a trailer holding the CRC32 of
+/// their concatenation (little-endian u32), the layout both snapshot images
+/// end with.
+Status AtomicWriteFileWithCrc(const std::string& path,
+                              std::vector<std::string_view> parts);
 
 /// Reads the whole file into a string. IOError if it cannot be opened.
 Result<std::string> ReadFileToString(const std::string& path);

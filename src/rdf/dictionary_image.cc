@@ -1,6 +1,10 @@
 #include "rdf/dictionary_image.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/fs.h"
@@ -12,13 +16,26 @@ namespace slider {
 namespace {
 constexpr char kMagic[8] = {'S', 'L', 'D', 'I', 'C', 'T', '0', '1'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
+/// Capacity of one body piece; an entry that does not fit starts the next.
+constexpr size_t kPieceBytes = size_t{64} << 10;
+/// Upper bound of an entry's two varints.
+constexpr size_t kMaxEntryOverhead = 20;
 }  // namespace
 
 Status WriteDictionaryImage(const Dictionary& dict, const std::string& path) {
-  std::string body;
+  // The body is encoded into pieces of bounded capacity rather than one
+  // growing buffer, so a checkpoint never leaves a multi-MiB block behind
+  // in the arena of the thread that wrote it.
+  std::vector<std::string> pieces;
   uint64_t count = 0;
   TermId prev = 0;
   dict.ForEach([&](TermId id, std::string_view term) {
+    const size_t entry = kMaxEntryOverhead + term.size();
+    if (pieces.empty() ||
+        pieces.back().size() + entry > pieces.back().capacity()) {
+      pieces.emplace_back().reserve(std::max(kPieceBytes, entry));
+    }
+    std::string& body = pieces.back();
     PutVarint(&body, id - prev);
     prev = id;
     PutVarint(&body, term.size());
@@ -27,10 +44,11 @@ Status WriteDictionaryImage(const Dictionary& dict, const std::string& path) {
   });
   std::string head(kMagic, sizeof(kMagic));
   PutFixed64(&head, count);
-  std::string trailer;
-  PutFixed32(&trailer, Crc32(Crc32(0, head.data(), head.size()), body.data(),
-                             body.size()));
-  return AtomicWriteFile(path, {head, body, trailer});
+  std::vector<std::string_view> parts;
+  parts.reserve(pieces.size() + 2);
+  parts.push_back(head);
+  for (const std::string& piece : pieces) parts.push_back(piece);
+  return AtomicWriteFileWithCrc(path, std::move(parts));
 }
 
 Status LoadDictionaryImage(const std::string& path, Dictionary* dict) {

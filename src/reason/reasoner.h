@@ -204,7 +204,14 @@ class Reasoner {
   /// Sum of derivations across modules (pre-dedup work measure).
   uint64_t total_derivations() const;
 
+  /// tasks_executed counts rule tasks only: ParallelFor helpers that an
+  /// embedder runs on pool() are counted in parallel_tasks.
   ThreadPool::Stats pool_stats() const;
+
+  /// The rule-module pool, lent to work an embedder runs while the engine
+  /// is quiescent: Repository::Checkpoint builds its snapshot pair on it
+  /// through ThreadPool::ParallelFor right after a flush.
+  ThreadPool* pool() { return pool_.get(); }
 
  private:
   /// One rule module: rule + buffer + distributor routing list + counters.

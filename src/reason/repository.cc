@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "query/backward.h"
 #include "rdf/dictionary_image.h"
 #include "rdf/graph_io.h"
@@ -557,16 +558,29 @@ Status Repository::Checkpoint() {
   // appended so far, so the tail a later Recover must replay is exactly
   // what arrives after this point.
   const uint64_t lsn = log_ != nullptr ? log_->next_lsn() : 0;
-  // Collected before the image is written, so every id here is in it
-  // (bound ids never unbind; a parser may bind more in between).
+  // The two images are built at once: the calling thread writes the
+  // triple image (index 0, itself spread over the pool) while a pool task
+  // writes the dictionary image. The engine has just flushed, so its pool
+  // is idle; modes without one write both images inline.
+  ThreadPool* pool = slider_ != nullptr ? slider_->pool() : nullptr;
+  Status written[2];
   std::vector<bool> imaged;
-  dict_.ForEach([&](TermId id, std::string_view) {
-    if (id >= imaged.size()) imaged.resize(id + 1);
-    imaged[id] = true;
+  ThreadPool::ParallelFor(pool, 2, [&](size_t i) {
+    if (i == 0) {
+      written[0] =
+          WriteTripleSnapshot(*store_, lsn, SnapshotTriplesPath(), pool);
+      return;
+    }
+    // Collected before the image is written, so every id here is in it
+    // (bound ids never unbind; a parser may bind more in between).
+    dict_.ForEach([&](TermId id, std::string_view) {
+      if (id >= imaged.size()) imaged.resize(id + 1);
+      imaged[id] = true;
+    });
+    written[1] = WriteDictionaryImage(dict_, SnapshotDictPath());
   });
-  SLIDER_RETURN_NOT_OK(WriteDictionaryImage(dict_, SnapshotDictPath()));
-  SLIDER_RETURN_NOT_OK(
-      WriteTripleSnapshot(*store_, lsn, SnapshotTriplesPath()));
+  SLIDER_RETURN_NOT_OK(written[0]);
+  SLIDER_RETURN_NOT_OK(written[1]);
   snapshot_lsn_ = lsn;
   snapshot_triples_ = store_->size();
   // Truncation strictly after the snapshot renames in: a crash between the

@@ -90,6 +90,21 @@ namespace slider {
 /// CompactLog stays legal after it. Direct AddTriples/RemoveTriples calls
 /// (bulk loads) do not checkpoint.
 ///
+/// Who does the work. Checkpoint runs on the calling thread (under the
+/// HTTP server, the worker that leads the update batch), which the caller
+/// guarantees is the only writer. Under kIncremental the engine has just
+/// flushed, so its ThreadPool is idle, and Checkpoint lends it to the
+/// snapshot pair through ThreadPool::ParallelFor: the caller writes the
+/// triple image while one pool task writes the dictionary image, and the
+/// triple image's partition sorts and piece encodes spread over the
+/// remaining workers and the caller (see WriteTripleSnapshot). The caller
+/// waits on that call's own latch, never on WaitIdle, and the engine's
+/// pool_stats() counts these helpers apart from rule tasks. The other
+/// modes have no engine pool and run the same code inline. The two images
+/// rename in in either order: a newer dictionary image only binds more
+/// ids, and a newer triple image is covered by the term records of the
+/// not-yet-truncated log.
+///
 /// Recover prefers the snapshot pair: restore dictionary ids from
 /// snapshot.dict (no re-hash through the Encode path), bulk-build the
 /// store from snapshot.triples (exact-capacity LfRow versions, no dedup
@@ -222,11 +237,12 @@ class Repository {
 
   /// Commits the repository state to disk: flushes the statement log,
   /// writes the snapshot pair (binary dictionary image + sorted-triple
-  /// image anchored at the log's next LSN) and — by default — truncates
-  /// the statement log to the tail the snapshot does not cover. Every file
-  /// write is atomic (temp file + rename). Part of a repository load, so
-  /// the comparative benches include it in the baseline's measured time.
-  /// See the class comment for the lifecycle.
+  /// image anchored at the log's next LSN, built on the engine's idle pool
+  /// under kIncremental) and — by default — truncates the statement log
+  /// to the tail the snapshot does not cover. Every file write is atomic
+  /// (temp file + rename). Must not run concurrently with an update. Part
+  /// of a repository load, so the comparative benches include it in the
+  /// baseline's measured time. See the class comment for the lifecycle.
   Status Checkpoint();
 
   /// Rewrites the statement log keeping only the last record per distinct

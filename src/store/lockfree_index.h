@@ -528,6 +528,21 @@ class LfRow {
     }
   }
 
+  /// Prefetch stages for a scan over many rows (the snapshot export):
+  /// PrefetchVersion pulls the current version's header into cache,
+  /// PrefetchArrays its item and flag arrays. Issued a few rows ahead of
+  /// the visit, in that order, they overlap the dependent misses of the
+  /// LfRow -> version -> arrays chain across rows.
+  void PrefetchVersion() const {
+    __builtin_prefetch(array_.load(std::memory_order_relaxed));
+  }
+  void PrefetchArrays() const {
+    const RowVersion* arr = array_.load(std::memory_order_relaxed);
+    if (arr == nullptr) return;
+    __builtin_prefetch(arr->items.get());
+    __builtin_prefetch(arr->flags.get());
+  }
+
   /// Decrements `v`'s derivation count by one. Returns the remaining count,
   /// or -1 when the count carries no information (id absent, count already
   /// zero, or saturated — saturation is sticky and never decrements).

@@ -1,6 +1,8 @@
 #include "store/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "common/fs.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace slider {
 
@@ -17,22 +20,36 @@ constexpr char kMagic[8] = {'S', 'L', 'T', 'R', 'I', 'P', '0', '1'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t) + sizeof(uint32_t);
 constexpr size_t kDirEntrySize = 3 * sizeof(uint64_t);
 
-/// Appends one predicate section (see the format comment in snapshot.h).
-void EncodeSection(const TripleStore::SnapshotPartition& part,
-                   std::string* out) {
-  PutVarint(out, part.size());
-  TermId prev_subject = 0;
-  part.ForEachRow([&](TermId subject, const auto& objects) {
-    PutVarint(out, subject - prev_subject);
-    prev_subject = subject;
-    PutVarint(out, objects.size());
-    TermId prev_object = 0;
-    for (const auto& [o, flags] : objects) {
-      PutVarint(out, o - prev_object);
-      prev_object = o;
-      out->push_back(static_cast<char>(flags));
-    }
-  });
+/// A run of at most kSnapshotPieceRows subject rows of one partition,
+/// encoded on its own. The partition's first piece opens the section with
+/// its subject count.
+struct Piece {
+  const TripleStore::SnapshotPartition* part;
+  size_t begin;
+  size_t end;
+  std::string bytes;
+};
+
+/// Encodes `piece` (see the format comment in snapshot.h). Its first
+/// subject delta is taken from the row just before it, so the pieces of a
+/// section concatenate to the sequential encoding.
+void EncodePiece(Piece* piece) {
+  const auto& rows = piece->part->rows;
+  std::string& out = piece->bytes;
+  if (piece->begin == 0) PutVarint(&out, rows.size());
+  TermId prev_subject = piece->begin == 0 ? 0 : rows[piece->begin - 1].first;
+  piece->part->ForEachRow(
+      piece->begin, piece->end, [&](TermId subject, const auto& objects) {
+        PutVarint(&out, subject - prev_subject);
+        prev_subject = subject;
+        PutVarint(&out, objects.size());
+        TermId prev_object = 0;
+        for (const auto& [o, flags] : objects) {
+          PutVarint(&out, o - prev_object);
+          prev_object = o;
+          out.push_back(static_cast<char>(flags));
+        }
+      });
 }
 
 Status DecodeSection(const char* data, size_t size, TermId predicate,
@@ -81,38 +98,42 @@ Status DecodeSection(const char* data, size_t size, TermId predicate,
 }  // namespace
 
 Status WriteTripleSnapshot(const TripleStore& store, uint64_t lsn,
-                           const std::string& path) {
-  // Sections are encoded straight into one body buffer, in ascending
-  // predicate order, so images of equal stores are byte-identical. The
-  // header and directory, which need the section count and offsets, are
-  // built afterwards and written in front of it.
-  struct Section {
-    TermId predicate;
-    size_t start;
-    size_t length;
-  };
-  std::vector<Section> sections;
-  std::string body;
-  store.ForEachSnapshotPartition(
-      [&](TermId p, const TripleStore::SnapshotPartition& part) {
-        const size_t start = body.size();
-        EncodeSection(part, &body);
-        sections.push_back(Section{p, start, body.size() - start});
-      });
+                           const std::string& path, ThreadPool* pool) {
+  const TripleStore::SnapshotExport exported = store.CollectForSnapshot(pool);
+  std::vector<Piece> pieces;
+  for (const TripleStore::SnapshotPartition& part : exported.partitions) {
+    for (size_t begin = 0; begin < part.rows.size();
+         begin += kSnapshotPieceRows) {
+      pieces.push_back(Piece{
+          &part, begin, std::min(begin + kSnapshotPieceRows, part.rows.size()),
+          {}});
+    }
+  }
+  ThreadPool::ParallelFor(pool, pieces.size(),
+                          [&](size_t i) { EncodePiece(&pieces[i]); });
 
+  // Sections follow the directory in ascending predicate order, so images
+  // of equal stores are byte-identical whatever the pool size.
   std::string head(kMagic, sizeof(kMagic));
   PutFixed64(&head, lsn);
-  PutFixed32(&head, static_cast<uint32_t>(sections.size()));
-  const uint64_t body_offset = kHeaderSize + sections.size() * kDirEntrySize;
-  for (const Section& section : sections) {
-    PutFixed64(&head, section.predicate);
-    PutFixed64(&head, body_offset + section.start);
-    PutFixed64(&head, section.length);
+  PutFixed32(&head, static_cast<uint32_t>(exported.partitions.size()));
+  uint64_t offset = kHeaderSize + exported.partitions.size() * kDirEntrySize;
+  for (size_t i = 0; i < pieces.size();) {
+    const TripleStore::SnapshotPartition* part = pieces[i].part;
+    uint64_t length = 0;
+    for (; i < pieces.size() && pieces[i].part == part; ++i) {
+      length += pieces[i].bytes.size();
+    }
+    PutFixed64(&head, part->predicate);
+    PutFixed64(&head, offset);
+    PutFixed64(&head, length);
+    offset += length;
   }
-  std::string trailer;
-  PutFixed32(&trailer, Crc32(Crc32(0, head.data(), head.size()), body.data(),
-                             body.size()));
-  return AtomicWriteFile(path, {head, body, trailer});
+  std::vector<std::string_view> parts;
+  parts.reserve(pieces.size() + 2);
+  parts.push_back(head);
+  for (const Piece& piece : pieces) parts.push_back(piece.bytes);
+  return AtomicWriteFileWithCrc(path, std::move(parts));
 }
 
 Result<uint64_t> LoadTripleSnapshot(const std::string& path,

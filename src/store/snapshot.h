@@ -1,6 +1,7 @@
 #ifndef SLIDER_STORE_SNAPSHOT_H_
 #define SLIDER_STORE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -9,6 +10,8 @@
 #include "store/triple_store.h"
 
 namespace slider {
+
+class ThreadPool;
 
 /// \brief Checkpointed triple-store snapshot image: a compact,
 /// delta-encoded, checksummed binary dump of the whole store — triples
@@ -36,10 +39,27 @@ namespace slider {
 /// image intact, and the stale-but-consistent image still recovers
 /// correctly because the log tail it skips is re-anchored by the LSN.
 
-/// Serializes `store` to `path` with the given covering LSN. Quiesced
-/// writers assumed (checkpoint runs at an update boundary).
+/// Subject rows per independently encoded piece of a section. A piece's
+/// first subject delta is taken from the subject just before it, so the
+/// pieces of a section concatenate to exactly the sequential encoding.
+inline constexpr size_t kSnapshotPieceRows = 8192;
+
+/// Serializes `store` to `path` with the given covering LSN.
+///
+/// The writer collects and sorts each partition's subject rows as one
+/// task per partition, encodes the sections in pieces of
+/// kSnapshotPieceRows rows, and writes header, pieces and trailer with one
+/// multi-part AtomicWriteFile, the CRC chained over the pieces in order.
+/// Both parallel phases run as ThreadPool::ParallelFor calls on `pool` and
+/// the calling thread; a null `pool` runs them inline. The image is
+/// byte-identical either way, for any pool size.
+///
+/// The caller guarantees that nothing writes to `store` until the call
+/// returns (a checkpoint runs at an update boundary, with the reasoner
+/// flushed); concurrent readers are fine.
 Status WriteTripleSnapshot(const TripleStore& store, uint64_t lsn,
-                           const std::string& path);
+                           const std::string& path,
+                           ThreadPool* pool = nullptr);
 
 /// Loads the image at `path` into `store` (which must be empty) and
 /// returns the snapshot's LSN. The file is mmap'd when the platform

@@ -1,9 +1,13 @@
 #include "store/triple_store.h"
 
+#include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "common/sharding.h"
+#include "common/thread_pool.h"
 
 namespace slider {
 
@@ -16,6 +20,29 @@ constexpr size_t kMaxShards = 1024;
 /// carrying it is not a fact and must never reach the tables.
 bool IsStorable(const Triple& t) {
   return t.s != kAnyTerm && t.p != kAnyTerm && t.o != kAnyTerm;
+}
+
+/// LSD radix sort of export rows by subject, 11 bits per pass, up to the
+/// largest subject's top bit: two passes for ids below 2^22. Several times
+/// faster than a comparison sort on a checkpoint's 10^5-row partitions.
+void SortBySubject(std::vector<std::pair<TermId, const LfRow*>>* rows) {
+  constexpr unsigned kBits = 11;
+  constexpr size_t kMask = (size_t{1} << kBits) - 1;
+  TermId max_subject = 0;
+  for (const auto& row : *rows) max_subject = std::max(max_subject, row.first);
+  std::vector<std::pair<TermId, const LfRow*>> sorted(rows->size());
+  std::vector<size_t> offsets(kMask + 1);
+  for (unsigned shift = 0; shift < 64 && (max_subject >> shift) != 0;
+       shift += kBits) {
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (const auto& row : *rows) ++offsets[(row.first >> shift) & kMask];
+    size_t sum = 0;
+    for (size_t& offset : offsets) sum += std::exchange(offset, sum);
+    for (const auto& row : *rows) {
+      sorted[offsets[(row.first >> shift) & kMask]++] = row;
+    }
+    rows->swap(sorted);
+  }
 }
 
 }  // namespace
@@ -266,6 +293,42 @@ TripleSet TripleStore::SnapshotSet() const {
   out.reserve(size());
   GetView().ForEachMatch(TriplePattern{},
                          [&](const Triple& t) { out.insert(t); });
+  return out;
+}
+
+TripleStore::SnapshotExport TripleStore::CollectForSnapshot(
+    ThreadPool* pool) const {
+  SnapshotExport out;
+  out.pin = epochs_.pin();
+  std::vector<const Partition*> sources;
+  for (size_t i = 0; i < shard_count_; ++i) {
+    shards_[i].partitions.ForEach([&](TermId p, const Partition& part) {
+      out.partitions.push_back(SnapshotPartition{p, {}});
+      sources.push_back(&part);
+    });
+  }
+  // Largest partitions first, so the one long sort starts at once.
+  std::vector<size_t> order(sources.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return sources[a]->count.load(std::memory_order_relaxed) >
+           sources[b]->count.load(std::memory_order_relaxed);
+  });
+  ThreadPool::ParallelFor(pool, order.size(), [&](size_t task) {
+    const size_t i = order[task];
+    auto& rows = out.partitions[i].rows;
+    rows.reserve(sources[i]->by_subject.live());
+    sources[i]->by_subject.ForEach([&](TermId s, const LfRow& row) {
+      if (!row.empty()) rows.emplace_back(s, &row);
+    });
+    SortBySubject(&rows);
+  });
+  std::erase_if(out.partitions,
+                [](const SnapshotPartition& part) { return part.rows.empty(); });
+  std::sort(out.partitions.begin(), out.partitions.end(),
+            [](const SnapshotPartition& a, const SnapshotPartition& b) {
+              return a.predicate < b.predicate;
+            });
   return out;
 }
 

@@ -17,6 +17,7 @@
 namespace slider {
 
 class StoreView;
+class ThreadPool;
 
 /// \brief In-memory, vertically partitioned, sharded concurrent RDF triple
 /// store (paper §2.2, scaled out) with an epoch-published, lock-free read
@@ -217,36 +218,38 @@ class TripleStore {
     std::vector<std::pair<TermId, uint8_t>> objects;
   };
 
-  /// One partition of a quiesced export (see ForEachSnapshotPartition):
-  /// its non-empty subject rows, read from the index one at a time.
-  class SnapshotPartition {
-   public:
-    /// Number of non-empty subject rows.
-    size_t size() const { return rows_.size(); }
+  /// One partition of a quiesced export (see CollectForSnapshot): the
+  /// predicate and its non-empty subject rows, ascending by subject.
+  struct SnapshotPartition {
+    TermId predicate = 0;
+    std::vector<std::pair<TermId, const LfRow*>> rows;
 
-    /// Invokes fn(subject, objects) once per non-empty row in ascending
-    /// subject order. `objects` holds the row's (object, raw flag byte)
-    /// pairs sorted by object; it is reused across rows, so it is valid
-    /// only during the call.
+    /// Invokes fn(subject, objects) for rows [begin, end), in order.
+    /// `objects` holds the row's (object, raw flag byte) pairs sorted by
+    /// object; it is reused across rows, so it is valid only during the
+    /// call.
     template <typename Fn>
-    void ForEachRow(Fn&& fn) const;
-
-   private:
-    friend class TripleStore;
-    std::vector<std::pair<TermId, const LfRow*>> rows_;
+    void ForEachRow(size_t begin, size_t end, Fn&& fn) const;
   };
 
-  /// Quiesced export for the snapshot writer: invokes
-  /// fn(predicate, partition) once per non-empty partition, in ascending
-  /// predicate order — the layout the delta-encoder wants. Beyond one
-  /// subject list per partition and one object list reused across its
-  /// rows it copies nothing, so a checkpoint's transient heap is the image
-  /// being encoded. Must run with no concurrent writers.
-  template <typename Fn>
-  void ForEachSnapshotPartition(Fn&& fn) const;
+  /// A quiesced export: every non-empty partition in ascending predicate
+  /// order, the layout the snapshot's delta encoder wants. The pin keeps
+  /// the rows readable for as long as the export lives.
+  struct SnapshotExport {
+    EpochPin pin;
+    std::vector<SnapshotPartition> partitions;
+  };
 
-  /// Like ForEachSnapshotPartition, but hands fn(predicate, rows) each
-  /// partition as a materialized, sorted SnapshotRow vector.
+  /// Builds the export for the snapshot writer: collects and sorts each
+  /// partition's subject rows as one ThreadPool::ParallelFor task on
+  /// `pool` (inline when null). It copies one (subject, row) pair per
+  /// subject and nothing of the rows themselves. Must run with no
+  /// concurrent writers.
+  SnapshotExport CollectForSnapshot(ThreadPool* pool) const;
+
+  /// Hands fn(predicate, rows) each partition of CollectForSnapshot(nullptr)
+  /// as a materialized SnapshotRow vector, sorted by subject, objects by
+  /// object (consistency checks and tests).
   template <typename Fn>
   void ExportForSnapshot(Fn&& fn) const;
 
@@ -678,49 +681,34 @@ void TripleStore::ForEachMatch(const TriplePattern& pattern, Fn&& fn) const {
 }
 
 template <typename Fn>
-void TripleStore::SnapshotPartition::ForEachRow(Fn&& fn) const {
+void TripleStore::SnapshotPartition::ForEachRow(size_t begin, size_t end,
+                                                Fn&& fn) const {
   std::vector<std::pair<TermId, uint8_t>> objects;
-  for (const auto& [s, row] : rows_) {
+  for (size_t i = begin; i < end; ++i) {
+    // Three rows' dependent misses in flight at once: the row, its
+    // version, its arrays (see LfRow::PrefetchVersion).
+    if (i + 12 < end) __builtin_prefetch(rows[i + 12].second);
+    if (i + 8 < end) rows[i + 8].second->PrefetchVersion();
+    if (i + 4 < end) rows[i + 4].second->PrefetchArrays();
     objects.clear();
-    row->ForEachWithFlags(
+    rows[i].second->ForEachWithFlags(
         [&](uint64_t o, uint8_t flags) { objects.emplace_back(o, flags); });
     std::sort(objects.begin(), objects.end());
-    fn(s, objects);
-  }
-}
-
-template <typename Fn>
-void TripleStore::ForEachSnapshotPartition(Fn&& fn) const {
-  const EpochPin pin = epochs_.pin();
-  std::vector<std::pair<TermId, const Partition*>> partitions;
-  for (size_t i = 0; i < shard_count_; ++i) {
-    shards_[i].partitions.ForEach([&](TermId p, const Partition& part) {
-      partitions.emplace_back(p, &part);
-    });
-  }
-  std::sort(partitions.begin(), partitions.end());
-  SnapshotPartition out;
-  for (const auto& [p, part] : partitions) {
-    out.rows_.clear();
-    part->by_subject.ForEach([&](TermId s, const LfRow& row) {
-      if (!row.empty()) out.rows_.emplace_back(s, &row);
-    });
-    if (out.rows_.empty()) continue;
-    std::sort(out.rows_.begin(), out.rows_.end());
-    fn(p, static_cast<const SnapshotPartition&>(out));
+    fn(rows[i].first, objects);
   }
 }
 
 template <typename Fn>
 void TripleStore::ExportForSnapshot(Fn&& fn) const {
+  const SnapshotExport exported = CollectForSnapshot(nullptr);
   std::vector<SnapshotRow> rows;
-  ForEachSnapshotPartition([&](TermId p, const SnapshotPartition& part) {
+  for (const SnapshotPartition& part : exported.partitions) {
     rows.clear();
-    part.ForEachRow([&](TermId s, const auto& objects) {
+    part.ForEachRow(0, part.rows.size(), [&](TermId s, const auto& objects) {
       rows.push_back(SnapshotRow{s, objects});
     });
-    fn(p, rows);
-  });
+    fn(part.predicate, rows);
+  }
 }
 
 }  // namespace slider

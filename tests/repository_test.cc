@@ -300,6 +300,52 @@ TEST(RepositoryTest, AutoCheckpointKeepsTheLogTailBounded) {
   EXPECT_EQ(ExplicitSet((*recovered)->store()), asserted);
 }
 
+TEST(RepositoryTest, IncrementalCheckpointOnThePoolRecoversTheLiveState) {
+  // kIncremental writes its snapshot pair on the engine's pool. A store
+  // whose type partition spans several encoding pieces, with retractions
+  // before the checkpoint and a log tail after it, must recover to the live
+  // closure and the live explicit set.
+  const std::string dir = FreshDir("repo_incremental_pool_checkpoint");
+  Repository::Options options;
+  options.storage_dir = dir;
+  options.inference = Repository::InferenceMode::kIncremental;
+  options.incremental.num_threads = 4;
+  TripleSet closure;
+  TripleSet asserted;
+  {
+    auto repo = Repository::Open(RdfsFactory(), options);
+    ASSERT_TRUE(repo.ok());
+    AddSchema(repo->get());
+    Dictionary* dict = (*repo)->dictionary();
+    const Vocabulary& v = (*repo)->vocabulary();
+    TripleVec instances;
+    for (int i = 0; i < 20000; ++i) {
+      instances.push_back(
+          {dict->Encode("<http://ex/i" + std::to_string(i) + ">"), v.type,
+           dict->Encode("<http://ex/C" + std::to_string(i % 4) + ">")});
+    }
+    ASSERT_TRUE((*repo)->AddTriples(instances).ok());
+    TripleVec victims;
+    for (size_t i = 0; i < instances.size(); i += 9) {
+      victims.push_back(instances[i]);
+    }
+    ASSERT_TRUE((*repo)->RemoveTriples(victims).ok());
+    const ThreadPool::Stats before = (*repo)->incremental_core()->pool_stats();
+    ASSERT_TRUE((*repo)->Checkpoint().ok());
+    const ThreadPool::Stats after = (*repo)->incremental_core()->pool_stats();
+    // The checkpoint's pool work is counted apart from rule tasks.
+    EXPECT_EQ(after.tasks_executed, before.tasks_executed);
+    EXPECT_EQ(after.peak_queue_depth, before.peak_queue_depth);
+    RunUpdate(repo->get(), 0);  // a tail past the snapshot
+    closure = (*repo)->store().SnapshotSet();
+    asserted = ExplicitSet((*repo)->store());
+  }
+  auto recovered = Repository::Recover(RdfsFactory(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->store().SnapshotSet(), closure);
+  EXPECT_EQ(ExplicitSet((*recovered)->store()), asserted);
+}
+
 TEST(RepositoryTest, NoAutoCheckpointBeforeTheFirstSnapshot) {
   const std::string dir = FreshDir("repo_auto_checkpoint_none");
   const Repository::Options options = AutoCheckpointOptions(dir);

@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/codec.h"
 #include "common/fs.h"
+#include "common/thread_pool.h"
 #include "rdf/dictionary_image.h"
 #include "reason/repository.h"
 #include "store/statement_log.h"
@@ -94,6 +99,162 @@ TEST(SnapshotTest, TripleImageRejectsCorruption) {
   FlipByte(path, 24);
   TripleStore restored;
   EXPECT_TRUE(LoadTripleSnapshot(path, &restored).status().IsInvalidArgument());
+}
+
+// A store whose predicate 2 spans more than three encoding pieces, with
+// every seventh subject's row emptied by Erase (gaps in the subject
+// sequence, some at piece boundaries) and other rows thinned, next to
+// several small partitions and one emptied again.
+// Support flags vary: explicit, inferred, and inferred with derivation
+// counts above one (repeated inferred offers).
+void FillPiecedStore(TripleStore* store) {
+  const TermId big = 2;
+  const size_t subjects = 4 * kSnapshotPieceRows + 1000;
+  for (TermId s = 1; s <= subjects; ++s) {
+    // Subjects are spread out so deltas take several varint bytes.
+    const TermId subject = 1000 + s * 997;
+    for (TermId k = 0; k < 1 + s % 3; ++k) {
+      const Triple t(subject, big, 5000000 + (s * 7 + k * 11) % 1000);
+      store->Add(t, /*is_explicit=*/(s + k) % 2 == 0);
+      if (s % 5 == 0) store->Add(t, /*is_explicit=*/false);
+    }
+  }
+  for (TermId s = 7; s <= subjects; s += 7) {
+    for (TermId k = 0; k < 3; ++k) {
+      store->Erase({1000 + s * 997, big, 5000000 + (s * 7 + k * 11) % 1000});
+    }
+  }
+  for (TermId s = 3; s <= subjects; s += 11) {
+    store->Erase({1000 + s * 997, big, 5000000 + (s * 7) % 1000});
+  }
+  for (TermId p = 10; p < 16; ++p) {
+    for (TermId s = 1; s <= p; ++s) {
+      store->Add({s * 1000003, p, s + p}, /*is_explicit=*/s % 3 != 0);
+    }
+  }
+  store->Add({42, 20, 43});
+  store->Erase({42, 20, 43});
+}
+
+// The image as the format comment in snapshot.h lays it out, encoded
+// sequentially from the store's sorted export.
+std::string ReferenceImage(const TripleStore& store, uint64_t lsn) {
+  std::vector<std::pair<TermId, std::string>> sections;
+  store.ExportForSnapshot(
+      [&](TermId p, const std::vector<TripleStore::SnapshotRow>& rows) {
+        std::string body;
+        PutVarint(&body, rows.size());
+        TermId prev_subject = 0;
+        for (const TripleStore::SnapshotRow& row : rows) {
+          PutVarint(&body, row.subject - prev_subject);
+          prev_subject = row.subject;
+          PutVarint(&body, row.objects.size());
+          TermId prev_object = 0;
+          for (const auto& [o, flags] : row.objects) {
+            PutVarint(&body, o - prev_object);
+            prev_object = o;
+            body.push_back(static_cast<char>(flags));
+          }
+        }
+        sections.emplace_back(p, std::move(body));
+      });
+  std::string image("SLTRIP01", 8);
+  PutFixed64(&image, lsn);
+  PutFixed32(&image, static_cast<uint32_t>(sections.size()));
+  uint64_t offset = image.size() + sections.size() * 24;
+  for (const auto& [p, body] : sections) {
+    PutFixed64(&image, p);
+    PutFixed64(&image, offset);
+    PutFixed64(&image, body.size());
+    offset += body.size();
+  }
+  for (const auto& section : sections) image += section.second;
+  PutFixed32(&image, Crc32(0, image.data(), image.size()));
+  return image;
+}
+
+std::string ReadImage(const std::string& path) {
+  auto bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+TEST(SnapshotTest, PiecedImageIsByteIdenticalInlineAndOnAPool) {
+  TripleStore store;
+  FillPiecedStore(&store);
+  const std::string inline_path = testing::TempDir() + "/pieced_inline.bin";
+  const std::string pooled_path = testing::TempDir() + "/pieced_pooled.bin";
+  ASSERT_TRUE(WriteTripleSnapshot(store, /*lsn=*/77, inline_path).ok());
+  ThreadPool pool(4);
+  ASSERT_TRUE(WriteTripleSnapshot(store, 77, pooled_path, &pool).ok());
+
+  const std::string expected = ReferenceImage(store, 77);
+  const std::string inline_image = ReadImage(inline_path);
+  EXPECT_EQ(inline_image.size(), expected.size());
+  EXPECT_TRUE(inline_image == expected) << "inline image differs from the "
+                                           "sequential reference encoding";
+  EXPECT_TRUE(ReadImage(pooled_path) == expected)
+      << "pooled image differs from the sequential reference encoding";
+  // The snapshot writer's helpers are not counted as submitted tasks.
+  EXPECT_EQ(pool.stats().tasks_executed, 0u);
+}
+
+TEST(SnapshotTest, PiecedImageRoundTripsWithSupportFlags) {
+  TripleStore store;
+  FillPiecedStore(&store);
+  const std::string path = testing::TempDir() + "/pieced_roundtrip.bin";
+  ThreadPool pool(4);
+  ASSERT_TRUE(WriteTripleSnapshot(store, /*lsn=*/9, path, &pool).ok());
+
+  TripleStore restored;
+  auto lsn = LoadTripleSnapshot(path, &restored);
+  ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+  EXPECT_EQ(*lsn, 9u);
+  EXPECT_EQ(restored.SnapshotSet(), store.SnapshotSet());
+  EXPECT_EQ(restored.ExplicitCount(), store.ExplicitCount());
+  // Flag bytes (support bit and derivation count), row by row.
+  using Rows = std::vector<std::pair<TermId, std::vector<TripleStore::SnapshotRow>>>;
+  const auto export_all = [](const TripleStore& s) {
+    Rows out;
+    s.ExportForSnapshot(
+        [&](TermId p, const std::vector<TripleStore::SnapshotRow>& rows) {
+          out.emplace_back(p, rows);
+        });
+    return out;
+  };
+  const Rows want = export_all(store);
+  const Rows got = export_all(restored);
+  ASSERT_EQ(got.size(), want.size());
+  size_t big_rows = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].first, want[i].first);
+    ASSERT_EQ(got[i].second.size(), want[i].second.size());
+    for (size_t r = 0; r < want[i].second.size(); ++r) {
+      EXPECT_EQ(got[i].second[r].subject, want[i].second[r].subject);
+      EXPECT_EQ(got[i].second[r].objects, want[i].second[r].objects);
+    }
+    big_rows = std::max(big_rows, want[i].second.size());
+  }
+  EXPECT_GT(big_rows, 3 * kSnapshotPieceRows);
+}
+
+TEST(SnapshotTest, DictionaryImageSpanningManyPiecesRoundTrips) {
+  const std::string path = testing::TempDir() + "/dict_pieces.bin";
+  Dictionary dict;
+  Vocabulary::Register(&dict);
+  std::vector<std::pair<TermId, std::string>> terms;
+  for (int i = 0; i < 20000; ++i) {
+    std::string term = "<http://ex/term/" + std::to_string(i) + ">";
+    if (i % 997 == 0) term += std::string(70000, 'x');  // larger than a piece
+    terms.emplace_back(dict.Encode(term), term);
+  }
+  ASSERT_TRUE(WriteDictionaryImage(dict, path).ok());
+  Dictionary restored;
+  ASSERT_TRUE(LoadDictionaryImage(path, &restored).ok());
+  EXPECT_EQ(restored.size(), dict.size());
+  for (const auto& [id, term] : terms) {
+    ASSERT_EQ(restored.DecodeUnchecked(id), term);
+  }
 }
 
 TEST(SnapshotTest, CheckpointWritesSnapshotPairAndTruncatesLog) {

@@ -120,5 +120,71 @@ TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
   SUCCEED();
 }
 
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexOnceAndCountsApart) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(1000);
+  ThreadPool::ParallelFor(&pool, hits.size(),
+                          [&](size_t i) { hits[i].fetch_add(1); });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  pool.WaitIdle();
+  const ThreadPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_executed, 0u);
+  EXPECT_EQ(stats.peak_queue_depth, 0u);
+  EXPECT_LE(stats.parallel_tasks, 4u);
+}
+
+TEST(ThreadPoolTest, ParallelForWithoutAPoolRunsInlineInOrder) {
+  std::vector<size_t> order;
+  ThreadPool::ParallelFor(nullptr, 5, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  ThreadPool::ParallelFor(nullptr, 0, [&](size_t) { FAIL(); });
+}
+
+TEST(ThreadPoolTest, ParallelForCallerRunsIndexZero) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_zero;
+  ThreadPool::ParallelFor(&pool, 8, [&](size_t i) {
+    if (i == 0) ran_zero = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_zero, caller);
+}
+
+TEST(ThreadPoolTest, ParallelForNestsAndSurvivesBusyWorkers) {
+  // Every worker blocked: the caller must finish the loop alone.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  for (int i = 0; i < 2; ++i) {
+    pool.Submit([&] {
+      while (!release) std::this_thread::yield();
+    });
+  }
+  std::atomic<int> count{0};
+  ThreadPool::ParallelFor(&pool, 100, [&](size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 100);
+  release = true;
+  // Nested loops, deeper than the pool is wide.
+  count = 0;
+  ThreadPool::ParallelFor(&pool, 4, [&](size_t) {
+    ThreadPool::ParallelFor(&pool, 4, [&](size_t) {
+      ThreadPool::ParallelFor(&pool, 4,
+                              [&](size_t) { count.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(count.load(), 64);
+  pool.WaitIdle();
+  EXPECT_EQ(pool.stats().tasks_executed, 2u);
+}
+
+TEST(ThreadPoolTest, ParallelForAfterShutdownRunsOnTheCaller) {
+  ThreadPool pool(2);
+  pool.Shutdown();
+  std::atomic<int> count{0};
+  ThreadPool::ParallelFor(&pool, 10, [&](size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 10);
+}
+
 }  // namespace
 }  // namespace slider
